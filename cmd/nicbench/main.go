@@ -20,9 +20,6 @@
 //	nicbench -all -cpuprofile cpu.prof # CPU profile of the whole run
 //	nicbench -all -memprofile mem.prof # heap profile at exit
 //	nicbench -quick -all -tickprof -json  # per-domain tick costs in results
-//	nicbench -quick -simspeed-check    # gate vs BENCH_simspeed.json (CI)
-//	nicbench -simspeed-update          # refresh BENCH_simspeed.json
-//	nicbench -fleet http://host:8731   # run suites on a sweepd fleet
 //	nicbench -json -canonical          # canonical results (byte-comparable)
 package main
 
@@ -41,18 +38,8 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/sweep"
 )
-
-// sweeper abstracts where jobs run: the in-process sweep.Runner or a
-// fleet.Client talking to a sweepd coordinator. Both return results aligned
-// with input order and dedup identical specs, so every suite works
-// unchanged against either.
-type sweeper interface {
-	Sweep(ctx context.Context, jobs []sweep.Job) ([]sweep.Result, error)
-	Stats() sweep.RunnerStats
-}
 
 func main() {
 	os.Exit(run())
@@ -84,13 +71,8 @@ func run() int {
 		tickProf   = flag.Bool("tickprof", false, "collect per-domain tick costs (tick_costs in -json results)")
 		latency    = flag.Bool("latency", false, "observe frame lifecycles (latency section in reports; incompatible with -check/-update-baseline)")
 
-		ssCheck  = flag.Bool("simspeed-check", false, "measure simulation speed and compare against -simspeed-file; non-zero exit on regression")
-		ssUpdate = flag.Bool("simspeed-update", false, "measure simulation speed and rewrite -simspeed-file")
-		ssFile   = flag.String("simspeed-file", "BENCH_simspeed.json", "committed simulation-speed baseline for -simspeed-check/-simspeed-update")
-
-		fleetURL  = flag.String("fleet", "", "run suites against a sweepd coordinator at this base URL instead of in-process")
 		canonical = flag.Bool("canonical", false, "canonicalize -json results (zero wall times and tick costs) for byte-exact comparison across runs")
-		retries   = flag.Int("retries", 0, "re-run failed jobs up to this many times (local runs; fleet retries are coordinator policy)")
+		retries   = flag.Int("retries", 0, "re-run failed jobs up to this many times")
 	)
 	flag.Parse()
 
@@ -142,10 +124,6 @@ func run() int {
 		experiments.Observe = true
 	}
 
-	if *ssCheck || *ssUpdate {
-		return runSimSpeed(*ssFile, *ssCheck, *ssUpdate, *quick)
-	}
-
 	b := experiments.Full
 	budgetName := "full"
 	if *quick {
@@ -166,23 +144,6 @@ func run() int {
 	if len(sel) == 0 {
 		flag.Usage()
 		return 2
-	}
-
-	if *fleetURL != "" {
-		// In fleet mode the store lives at the coordinator, and the
-		// per-process observation globals never reach the remote workers.
-		for _, f := range []struct {
-			flagName string
-			set      bool
-		}{
-			{"-out", *outDir != ""}, {"-resume", *resume},
-			{"-latency", *latency}, {"-tickprof", *tickProf},
-		} {
-			if f.set {
-				fmt.Fprintf(os.Stderr, "nicbench: %s cannot be combined with -fleet (it only affects this process, not the workers)\n", f.flagName)
-				return 2
-			}
-		}
 	}
 
 	var store *sweep.Store
@@ -210,15 +171,12 @@ func run() int {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	var sw sweeper = &sweep.Runner{
+	runner := &sweep.Runner{
 		Run:     experiments.Simulate,
 		Workers: *parallel,
 		Timeout: *timeout,
 		Retries: *retries,
 		Store:   store,
-	}
-	if *fleetURL != "" {
-		sw = &fleet.Client{Base: strings.TrimRight(*fleetURL, "/")}
 	}
 
 	var (
@@ -230,7 +188,7 @@ func run() int {
 	)
 	for _, s := range sel {
 		jobs := s.Jobs(b)
-		res, err := sw.Sweep(ctx, jobs)
+		res, err := runner.Sweep(ctx, jobs)
 		for _, r := range res {
 			if r.Cached {
 				hit++
@@ -289,7 +247,7 @@ func run() int {
 	if *times {
 		printTimes(allResults)
 	}
-	stats := sw.Stats()
+	stats := runner.Stats()
 	extra := ""
 	if stats.Retries > 0 {
 		extra += fmt.Sprintf(", %d retried", stats.Retries)
@@ -299,15 +257,6 @@ func run() int {
 	}
 	fmt.Fprintf(os.Stderr, "nicbench: %d simulated, %d cached, %d failed%s in %.1fs (budget %s)\n",
 		ran, hit, len(failed), extra, time.Since(start).Seconds(), budgetName)
-	if fc, ok := sw.(*fleet.Client); ok && !interrupted {
-		if m, err := fc.Metrics(ctx); err == nil {
-			fmt.Fprintf(os.Stderr,
-				"nicbench: fleet: %d submitted, %d deduped, %d cached, %d executed, %d requeued, %d lease(s) expired, %d duplicate result(s)\n",
-				m[fleet.MJobsSubmitted], m[fleet.MJobsDeduped], m[fleet.MJobsCached],
-				m[fleet.MJobsExecuted], m[fleet.MJobsRequeued], m[fleet.MLeasesExpired],
-				m[fleet.MResultsDuplicate])
-		}
-	}
 	for _, r := range failed {
 		msg := r.Err
 		if i := strings.IndexByte(msg, '\n'); i >= 0 {
@@ -428,49 +377,6 @@ func printTimes(results []sweep.Result) {
 	if wallTot > 0 {
 		fmt.Printf("%-28s %10.0f %10.2f %12.0f\n", "total (simulated jobs)", simTot, wallTot, simTot*1e3/(wallTot*1e3))
 	}
-}
-
-// runSimSpeed measures the simulation-speed operating points and either
-// rewrites the committed baseline (-simspeed-update) or gates against it
-// (-simspeed-check).
-func runSimSpeed(path string, check, update, quick bool) int {
-	b := experiments.Full
-	if quick {
-		b = experiments.Quick
-	}
-	fresh := experiments.MeasureSimSpeed(b)
-	for _, p := range fresh {
-		fmt.Printf("simspeed %-16s %8.0f sim-ns/wall-ms  %7.3f allocs/step  %d steps\n",
-			p.Name, p.SimNsPerWallMs, p.AllocsPerStep, p.Steps)
-	}
-	if update {
-		f := experiments.SimSpeedFile{Schema: experiments.SimSpeedSchema, Tolerance: 0.25, Points: fresh}
-		if old, err := experiments.LoadSimSpeed(path); err == nil {
-			// Keep the informational suite-wall fields across refreshes.
-			f.Tolerance = old.Tolerance
-			f.QuickSuiteWallSec = old.QuickSuiteWallSec
-			f.QuickSuiteWallSecPrev = old.QuickSuiteWallSecPrev
-		}
-		if err := experiments.WriteSimSpeed(path, f); err != nil {
-			fmt.Fprintln(os.Stderr, "nicbench:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "nicbench: wrote %d simspeed points to %s\n", len(fresh), path)
-		return 0
-	}
-	base, err := experiments.LoadSimSpeed(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nicbench:", err)
-		return 1
-	}
-	if bad := experiments.CompareSimSpeed(base, fresh); len(bad) > 0 {
-		for _, m := range bad {
-			fmt.Fprintln(os.Stderr, "nicbench: SIMSPEED REGRESSION:", m)
-		}
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "nicbench: simulation speed OK (%s)\n", path)
-	return 0
 }
 
 func listSuites(b experiments.Budget, budgetName string) {

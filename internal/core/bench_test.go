@@ -8,7 +8,9 @@ import (
 
 // benchPoint runs one full NIC simulation (300 µs warmup + 500 µs measure)
 // at the given operating point and reports simulated nanoseconds per wall
-// second, the headline metric of BENCH_simspeed.json.
+// second. These are quick local probes; the repeatable end-to-end speed and
+// allocation figures come from `bash perfbench/run.sh --workload line-1472`
+// (sim_us_per_s and allocs_per_frame).
 func benchPoint(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	const simulated = 800 * sim.Microsecond

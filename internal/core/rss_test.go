@@ -15,7 +15,7 @@ import (
 // TestSingleQueueCollapsesToSeedPath: an explicitly-spelled single-queue
 // static-hash configuration must produce a report byte-identical to the
 // default controller's — RSS at one queue IS the seed receive path, not an
-// approximation of it. This is the same equivalence CI's rss-smoke job
+// approximation of it. This is the same equivalence CI's smoke job
 // checks end-to-end through nicsim.
 func TestSingleQueueCollapsesToSeedPath(t *testing.T) {
 	run := func(cfg Config) []byte {

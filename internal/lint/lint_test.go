@@ -47,18 +47,24 @@ func TestHashlintFixtures(t *testing.T) {
 	linttest.Run(t, fixtures, lint.Hashlint, "fixture/hashlint")
 }
 
-// TestFleetCleanUnderConcurrencyAnalyzers pins the most concurrent packages
-// — the fleet fabric, the sweep store/runner, and the sweepd daemon — clean
-// under the three concurrency-contract analyzers even in -short mode, where
-// the whole-tree check is skipped.
-func TestFleetCleanUnderConcurrencyAnalyzers(t *testing.T) {
+// TestConcurrentPackagesCleanUnderConcurrencyAnalyzers pins the packages
+// that hold the tree's //nic:guardedby fields and goroutine sites — the
+// sweep store/runner, the experiments watchdog, and the firmware hazard
+// memo — clean under the three concurrency-contract analyzers even in
+// -short mode, where the whole-tree check is skipped.
+func TestConcurrentPackagesCleanUnderConcurrencyAnalyzers(t *testing.T) {
 	prog, err := lint.NewProgram(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := prog.LoadPatterns([]string{"../fleet", "../sweep", "../../cmd/sweepd"})
+	// Patterns resolve against the module root, not this package directory.
+	patterns := []string{"internal/sweep", "internal/experiments", "internal/firmware"}
+	pkgs, err := prog.LoadPatterns(patterns)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(pkgs) != len(patterns) {
+		t.Fatalf("loaded %d packages for %d patterns; a pattern matched nothing", len(pkgs), len(patterns))
 	}
 	diags, err := prog.Run(pkgs, []*lint.Analyzer{lint.Guardlint, lint.Leaklint, lint.Hashlint})
 	if err != nil {

@@ -17,9 +17,8 @@ import (
 type RunFunc func(ctx context.Context, job Job) (Outcome, error)
 
 // RunnerStats counts how a sweep's unique configuration points were
-// resolved. Local runs and fleet runs (internal/fleet) report the same
-// counters, so "every point simulated exactly once" is checkable the same
-// way in both modes. Counts are per unique spec hash, not per job ID:
+// resolved, so "every point simulated exactly once" is checkable from the
+// counters alone. Counts are per unique spec hash, not per job ID:
 // duplicate jobs served from one execution count that execution once.
 type RunnerStats struct {
 	// Fresh is the number of unique points simulated to completion.
@@ -225,9 +224,9 @@ func (r *Runner) runRetrying(ctx context.Context, job Job) Result {
 
 // Execute runs a single job attempt with a per-job timeout and panic
 // isolation: a panicking run fails its own Result (stack attached) instead
-// of crashing the caller. Both the local Runner and the fleet worker
-// (internal/fleet) execute jobs through this one path, so a job fails
-// identically whether it ran in-process or on a remote machine.
+// of crashing the caller. The Runner executes every attempt through this
+// one path, and callers that time a single job outside a Runner use it too,
+// so a job fails the same way wherever it runs.
 func Execute(ctx context.Context, run RunFunc, job Job, timeout time.Duration) (res Result) {
 	res = Result{ID: job.ID, Hash: job.Spec.Hash(), Spec: job.Spec}
 	start := time.Now() //nic:wallclock ElapsedSec reports real job duration

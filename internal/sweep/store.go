@@ -121,56 +121,6 @@ func (s *Store) Results() []Result {
 	return out
 }
 
-// PutBatch appends a batch of successful results as one write followed by
-// one fsync, so a flush is both cheap (a single syscall for many results)
-// and durable (the batch survives power loss once PutBatch returns).
-// Failed results and hashes already present — in the store or earlier in
-// the same batch — are skipped, mirroring Put.
-func (s *Store) PutBatch(rs []Result) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	var added []string
-	for _, r := range rs {
-		if !r.OK() {
-			continue
-		}
-		if _, ok := s.byHash[r.Hash]; ok {
-			continue
-		}
-		b, err := json.Marshal(r)
-		if err != nil {
-			s.unindex(added)
-			return fmt.Errorf("sweep: encode result %s: %w", r.ID, err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-		s.byHash[r.Hash] = r
-		added = append(added, r.Hash)
-	}
-	if buf.Len() == 0 {
-		return nil
-	}
-	if _, err := s.f.Write(buf.Bytes()); err != nil {
-		s.unindex(added)
-		return fmt.Errorf("sweep: append batch: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("sweep: sync batch: %w", err)
-	}
-	return nil
-}
-
-// unindex rolls back index entries whose bytes never reached the file, so a
-// failed batch can be retried. Callers hold s.mu.
-//
-//nic:locked mu
-func (s *Store) unindex(hashes []string) {
-	for _, h := range hashes {
-		delete(s.byHash, h)
-	}
-}
-
 // Close syncs and closes the backing file, so results appended by Put are
 // durable once a sweep shuts down cleanly.
 func (s *Store) Close() error {

@@ -94,54 +94,6 @@ func TestDuplicateHashLinesFirstWins(t *testing.T) {
 	}
 }
 
-func TestPutBatchRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), StoreFileName)
-	st, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(mkResult(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	failed := mkResult(9, 0)
-	failed.Err = "diverged"
-	batch := []Result{
-		mkResult(0, 5), // already in the store: skipped
-		mkResult(1, 1),
-		failed,         // failures never persist
-		mkResult(1, 5), // duplicate within the batch: skipped
-		mkResult(2, 1),
-	}
-	if err := st.PutBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 3 {
-		t.Fatalf("store has %d results, want 3", st.Len())
-	}
-	if r, _ := st.Get(mkResult(0, 1).Hash); r.Report.TotalGbps != 1 {
-		t.Error("PutBatch overwrote an existing result")
-	}
-	st.Close()
-
-	// The batch must survive reopening, as exactly one appended line each.
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(b), "\n"); n != 3 {
-		t.Errorf("file has %d lines, want 3 (skipped results must not hit disk)", n)
-	}
-	st2, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() != 3 {
-		t.Errorf("reopened store has %d results, want 3", st2.Len())
-	}
-}
-
 func TestRunnerStatsCounts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), StoreFileName)
 	st, err := OpenStore(path)
