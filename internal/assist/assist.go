@@ -187,9 +187,3 @@ func (e *engine) tick() {
 		})
 	}
 }
-
-// Quiescent reports that the port has no queued or issued access.
-func (p *ScratchPort) Quiescent() bool { return !p.busy && p.qhead == len(p.queue) }
-
-// quiescent reports that the pipeline has no queued or in-flight job.
-func (e *engine) quiescent() bool { return e.qhead == len(e.queue) && e.inFlight == 0 }

@@ -214,11 +214,3 @@ func (w *DMAWrite) Tick(cycle uint64) {
 	w.eng.tick()
 	w.Port.Tick(cycle)
 }
-
-// Quiescent reports that the engine has no job queued or in flight and its
-// scratchpad port is idle.
-func (d *DMARead) Quiescent() bool { return d.eng.quiescent() && d.Port.Quiescent() }
-
-// Quiescent reports that the engine has no job queued or in flight and its
-// scratchpad port is idle.
-func (w *DMAWrite) Quiescent() bool { return w.eng.quiescent() && w.Port.Quiescent() }

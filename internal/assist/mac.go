@@ -392,40 +392,14 @@ func (m *MACRx) admit(size int, handle any) bool {
 	return true
 }
 
-// Quiescent reports that the CPU-domain half of MACTx has nothing to do: no
-// committed frame waiting, no SDRAM fetch outstanding, and an idle port.
-// Staged frames and the wire belong to the MAC-domain half (TxWire).
-func (m *MACTx) Quiescent() bool {
-	return !m.fetching && len(m.queue) == 0 && m.Port.Quiescent()
-}
-
-// Quiescent reports that the CPU-domain half of MACRx (the scratchpad port
-// pump) is idle.
-func (m *MACRx) Quiescent() bool { return m.Port.Quiescent() }
-
-// TxWire adapts the MAC-domain half of MACTx to a sim.Ticker that supports
-// idle-skip: quiescent when nothing is staged or on the wire.
+// TxWire adapts the MAC-domain half of MACTx to a sim.Ticker.
 type TxWire struct{ M *MACTx }
 
 // Tick advances the transmit wire.
 func (w TxWire) Tick(cycle uint64) { w.M.TickMAC(cycle) }
 
-// Quiescent reports an idle transmit wire with an empty staging buffer.
-func (w TxWire) Quiescent() bool { return w.M.wireRemain == 0 && len(w.M.staged) == 0 }
-
-// SkipIdle accounts the wire-utilization denominator across skipped cycles.
-func (w TxWire) SkipIdle(cycles uint64) { w.M.WireBusy.Total.Add(cycles) }
-
-// RxWire adapts the MAC-domain half of MACRx to a sim.Ticker that supports
-// idle-skip. A receive wire with a Source attached is never quiescent: the
-// source is polled every MAC cycle and may present a frame at any instant.
+// RxWire adapts the MAC-domain half of MACRx to a sim.Ticker.
 type RxWire struct{ M *MACRx }
 
 // Tick advances the receive wire.
 func (w RxWire) Tick(cycle uint64) { w.M.TickMAC(cycle) }
-
-// Quiescent reports an idle receive wire with no traffic source.
-func (w RxWire) Quiescent() bool { return w.M.wireRemain == 0 && w.M.Source == nil }
-
-// SkipIdle accounts the wire-utilization denominator across skipped cycles.
-func (w RxWire) SkipIdle(cycles uint64) { w.M.WireBusy.Total.Add(cycles) }

@@ -13,15 +13,8 @@ import (
 // plan attached when non-empty), and returns the serialized report. Each call
 // builds its own simulator so runs are fully independent.
 func reportJSON(t *testing.T, cfg Config, udp int, plan faults.Plan) []byte {
-	return reportJSONSched(t, cfg, udp, plan, true)
-}
-
-// reportJSONSched additionally selects the engine's scheduling path: static
-// hyperperiod table (the default) or the generic min-scan fallback.
-func reportJSONSched(t *testing.T, cfg Config, udp int, plan faults.Plan, static bool) []byte {
 	t.Helper()
 	n := New(cfg)
-	n.Engine.SetStaticSchedule(static)
 	n.AttachWorkload(udp, false)
 	if err := n.AttachFaults(plan); err != nil {
 		t.Fatal(err)
@@ -61,37 +54,6 @@ func TestReportJSONDeterministic(t *testing.T) {
 			b := reportJSON(t, tc.cfg, tc.udp, tc.plan)
 			if !bytes.Equal(a, b) {
 				t.Errorf("two runs of the same config diverge:\nrun1: %s\nrun2: %s", a, b)
-			}
-		})
-	}
-}
-
-// TestReportJSONSchedulerPathsAgree: the static hyperperiod schedule is a
-// pure replay of the edge pattern the generic min-scan would compute, so
-// disabling it must not move a single tick — reports are byte-identical at
-// both paper operating points (six 166 MHz cores with RMW, the eight-core
-// 175 MHz software-only grid corner), with and without a fault plan.
-func TestReportJSONSchedulerPathsAgree(t *testing.T) {
-	rmw := RMWConfig()
-	big := DefaultConfig()
-	big.Cores = 8
-	big.CPUMHz = 175
-	ref := faults.Reference(300 * sim.Microsecond)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		plan faults.Plan
-	}{
-		{"6c-166-rmw", rmw, faults.Plan{}},
-		{"6c-166-rmw-ref-faults", rmw, ref},
-		{"8c-175-sw", big, faults.Plan{}},
-		{"8c-175-sw-ref-faults", big, ref},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			static := reportJSONSched(t, tc.cfg, 1472, tc.plan, true)
-			generic := reportJSONSched(t, tc.cfg, 1472, tc.plan, false)
-			if !bytes.Equal(static, generic) {
-				t.Errorf("static vs generic scheduler reports diverge:\nstatic:  %s\ngeneric: %s", static, generic)
 			}
 		})
 	}

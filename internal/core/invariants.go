@@ -103,10 +103,3 @@ func (c *invariantChecker) check(watchdog bool) {
 	}
 	c.lastSig = sig
 }
-
-// Quiescent lets the checker's domain participate in idle-skip: the checker
-// only reads functional state, and every check it would have run during a
-// skipped stretch observes an unchanging idle machine (no pending work, so
-// the forward-progress watchdog cannot fire). In the full NIC assembly the
-// firmware cores never quiesce, so checker cadence there is unchanged.
-func (c *invariantChecker) Quiescent() bool { return true }

@@ -157,13 +157,6 @@ type Core struct {
 	// Observers must not mutate the stream.
 	OnStreamBegin func(*Stream)
 	OnStreamEnd   func(*Stream)
-	// AllowIdleSkip opts the core into engine idle-skip fast-forward while it
-	// has no stream. Leave false (the default, and what the NIC model uses)
-	// unless NextWork is nil or is known to be side-effect free when it
-	// returns nil: an idle tick polls NextWork, and skipping must not change
-	// what the poll would have observed or mutated. The firmware dispatcher
-	// rotates claim state on every poll, so firmware cores never skip.
-	AllowIdleSkip bool
 
 	cur   *Stream
 	opIdx int
@@ -327,20 +320,6 @@ func (c *Core) inLockSeq() bool {
 
 // Busy reports whether the core is executing a stream.
 func (c *Core) Busy() bool { return c.cur != nil }
-
-// Quiescent reports that the core is idle and opted into idle-skip. A gated
-// core is never quiescent: the fault gate must be consulted (and may charge a
-// stall) every cycle.
-func (c *Core) Quiescent() bool {
-	return c.AllowIdleSkip && c.cur == nil && c.Gate == nil
-}
-
-// SkipIdle replays the bookkeeping of idle cycles the engine fast-forwarded
-// across, matching what idle Ticks would have recorded.
-func (c *Core) SkipIdle(cycles uint64) {
-	c.Stats.Cycles += cycles
-	c.Stats.IdleCycles += cycles
-}
 
 // Tick advances the core one CPU-domain cycle.
 //

@@ -289,28 +289,6 @@ func (h *Host) Tick(cycle uint64) {
 	h.driver()
 }
 
-// Quiescent reports that a Tick would do nothing but advance the clock: no
-// DMA completion pending, the driver not starved, no send descriptor work
-// possible, and both rings fully posted and announced.
-func (h *Host) Quiescent() bool {
-	if h.starved ||
-		h.head != len(h.pending) ||
-		(h.Source != nil && h.inFlight < h.cfg.SendRing) ||
-		h.sendVisible != len(h.sendBDs) {
-		return false
-	}
-	for i := range h.recv {
-		q := &h.recv[i]
-		if q.posted != h.cfg.RecvRing || q.visible < q.posted {
-			return false
-		}
-	}
-	return true
-}
-
-// SkipIdle advances the host clock across fast-forwarded idle cycles.
-func (h *Host) SkipIdle(cycles uint64) { h.now += cycles }
-
 // driver posts send descriptors while ring space allows and replenishes the
 // receive pool, writing the mailbox for each batch.
 func (h *Host) driver() {

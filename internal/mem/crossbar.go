@@ -230,10 +230,3 @@ func (x *Crossbar) tickStall() {
 		}
 	}
 }
-
-// Quiescent reports that the crossbar has no request waiting or in flight.
-// With a BankStall hook attached the crossbar is never quiescent: the hook
-// must be consulted every cycle (it counts stalled-bank cycles).
-func (x *Crossbar) Quiescent() bool {
-	return x.BankStall == nil && x.busy == 0
-}

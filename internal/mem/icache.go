@@ -210,10 +210,3 @@ func (m *InstrMemory) Tick(cycle uint64) {
 		}
 	}
 }
-
-// Quiescent reports that no fill is in progress or pending.
-func (m *InstrMemory) Quiescent() bool { return !m.hasCur && m.phead == len(m.pending) }
-
-// SkipIdle accounts the port-utilization denominator for cycles the engine
-// fast-forwarded across, matching what idle Ticks would have recorded.
-func (m *InstrMemory) SkipIdle(cycles uint64) { m.PortBusy.Total.Add(cycles) }

@@ -182,24 +182,3 @@ func (s *SDRAM) start(cycle uint64) {
 
 // PeakGbps returns the peak bandwidth at the given SDRAM frequency in MHz.
 func PeakGbps(mhz float64) float64 { return mhz * 1e6 * 16 * 8 / 1e9 }
-
-// Quiescent reports that no burst is active and every port queue is empty.
-func (s *SDRAM) Quiescent() bool {
-	if s.active {
-		return false
-	}
-	for p, q := range s.queues {
-		if s.qhead[p] != len(q) {
-			return false
-		}
-	}
-	return true
-}
-
-// SkipIdle replays the bookkeeping of idle cycles the engine fast-forwarded
-// across: the utilization denominator grows and the controller's notion of
-// "now" keeps pace so later queuedAt stamps match a fully ticked run.
-func (s *SDRAM) SkipIdle(cycles uint64) {
-	s.now += cycles
-	s.Busy.Total.Add(cycles)
-}

@@ -9,33 +9,15 @@
 //
 // # Scheduling
 //
-// Clock periods are fixed at construction, so the interleave pattern of the
-// clocked domains repeats with the hyperperiod (the LCM of the periods). When
-// that pattern is small enough the engine precomputes it once as a static
-// edge schedule — a table of (instant, due-domain bitmask) entries replayed
-// with zero allocation, zero sorting, and zero scanning. Operating points
-// whose hyperperiod is too large for a table, and any step where an
-// event-driven domain has a pending edge, fall back to a generic
-// allocation-free min-scan that produces the identical tick sequence; the
-// determinism tests assert byte-identical results across both paths.
-//
-// Event-driven domains keep their pending callbacks in a binary min-heap
-// ordered by (time, schedule order).
-//
-// # Idle-skip
-//
-// Tickers may opt into idle-skip fast-forward by implementing Quiescer (and
-// usually IdleSkipper). When every ticker of every clocked domain reports
-// quiescence, RunFor and RunUntil jump simulated time to the next scheduled
-// event (or the deadline) instead of ticking through empty cycles. Tickers
-// that do not implement Quiescer are treated as always busy, so the default
-// behavior is unchanged.
+// Each Step is one allocation-free min-scan over the domains' next edges:
+// time jumps to the earliest edge, and every domain due at that instant runs
+// in registration order. Event-driven domains keep their pending callbacks in
+// a binary min-heap ordered by (time, schedule order), and their next edge is
+// the heap minimum.
 package sim
 
 import (
 	"fmt"
-	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -73,25 +55,6 @@ type TickFunc func(cycle uint64)
 // Tick calls f(cycle).
 func (f TickFunc) Tick(cycle uint64) { f(cycle) }
 
-// A Quiescer is a Ticker that can report having no work. Quiescent must be
-// true only when the next Tick (and every Tick after it, absent external
-// stimulus such as an event callback or another domain's activity) would
-// change no state other than the per-cycle bookkeeping its SkipIdle
-// replicates. Tickers that do not implement Quiescer are treated as always
-// busy, so idle-skip is strictly opt-in.
-type Quiescer interface {
-	Quiescent() bool
-}
-
-// An IdleSkipper is a Quiescer whose idle Tick still performs bookkeeping
-// (total-cycle counters and the like). SkipIdle(n) must have exactly the
-// effect of n consecutive Ticks issued while Quiescent held, so that a
-// fast-forwarded run is byte-identical to a ticked one. Quiescent tickers
-// without SkipIdle are skipped with no effect.
-type IdleSkipper interface {
-	SkipIdle(cycles uint64)
-}
-
 // NoEdge is the next-edge sentinel of an event-driven domain with nothing
 // scheduled: it never wins the engine's min-edge selection, so an empty
 // event domain costs one comparison per step and nothing else.
@@ -110,14 +73,6 @@ type Domain struct {
 	next    Picoseconds
 	cycle   uint64
 	tickers []Ticker
-	order   int
-
-	// Idle-skip state, parallel to tickers: quiescers[i] is tickers[i]'s
-	// Quiescer (nil when unimplemented, which forces canSkip false), and
-	// skippers[i] its IdleSkipper (nil means skipping is a pure no-op).
-	quiescers []Quiescer
-	skippers  []IdleSkipper
-	canSkip   bool
 
 	eventDriven bool
 	events      []schedEvent // binary min-heap ordered by (at, seq)
@@ -142,7 +97,7 @@ func NewDomain(name string, hz float64) *Domain {
 	if period == 0 {
 		period = 1
 	}
-	return &Domain{name: name, period: period, hz: hz, canSkip: true}
+	return &Domain{name: name, period: period, hz: hz}
 }
 
 // NewEventDomain creates an event-driven domain: instead of a fixed clock it
@@ -251,13 +206,6 @@ func (d *Domain) Cycles() uint64 { return d.cycle }
 // within a cycle, which keeps simulations deterministic.
 func (d *Domain) Add(t Ticker) {
 	d.tickers = append(d.tickers, t)
-	q, ok := t.(Quiescer)
-	if !ok {
-		d.canSkip = false
-	}
-	d.quiescers = append(d.quiescers, q)
-	s, _ := t.(IdleSkipper)
-	d.skippers = append(d.skippers, s)
 }
 
 // tick runs one cycle of a clocked domain.
@@ -271,50 +219,6 @@ func (d *Domain) tick() {
 	d.cycle = c + 1
 	d.next += d.period
 }
-
-// skipIdle advances the domain across k quiescent cycles without ticking,
-// applying each ticker's bookkeeping compensation.
-//
-//nic:hotpath
-func (d *Domain) skipIdle(k uint64) {
-	for _, s := range d.skippers {
-		if s != nil {
-			s.SkipIdle(k)
-		}
-	}
-	d.cycle += k
-	d.next += Picoseconds(k) * d.period
-}
-
-// quiescent reports whether every ticker of a clocked domain is idle. A
-// domain with any non-Quiescer ticker is never quiescent.
-func (d *Domain) quiescent() bool {
-	if !d.canSkip {
-		return false
-	}
-	for _, q := range d.quiescers {
-		if !q.Quiescent() {
-			return false
-		}
-	}
-	return true
-}
-
-// schedEdge is one instant of the static hyperperiod schedule: a time
-// relative to the schedule base and the bitmask of member domains (indices
-// into Engine.clocked, which is registration order) due at that instant.
-type schedEdge struct {
-	at   Picoseconds
-	mask uint32
-}
-
-// maxSchedEntries bounds the static schedule size. The schedule covers the
-// longest registration-order prefix of clocked domains whose merged
-// hyperperiod fits; domains whose period is incommensurate with the rest
-// (the controller's 7519 ps host clock against the 5000/2000/6400 ps NIC
-// clocks would need a ~1.2 ms table) stay outside the table and are merged
-// with a single comparison per step.
-const maxSchedEntries = 1 << 16
 
 // DomainCost is one domain's share of simulation wall time, collected when
 // tick profiling is enabled.
@@ -332,42 +236,14 @@ type tickCost struct {
 
 // An Engine advances a set of clock domains through simulated time.
 type Engine struct {
-	domains []*Domain // all domains, registration order
-	clocked []*Domain // clocked subset, registration order
-	eventD  []*Domain // event-driven subset, registration order
+	domains []*Domain // registration order
 	now     Picoseconds
 	steps   uint64
 	stop    atomic.Bool
 
-	// Static hyperperiod schedule state. sched is nil when the schedule is
-	// disabled, not yet built, or no usable prefix fits maxSchedEntries. The
-	// table covers e.clocked[:schedN] (the member domains); later clocked
-	// domains are merged with one comparison per step, and tick after the
-	// members on shared instants — which is registration order, because
-	// members are a registration-order prefix.
-	sched      []schedEdge
-	schedN     int // member count: the table covers e.clocked[:schedN]
-	hyper      Picoseconds
-	schedBase  Picoseconds
-	schedPos   int
-	schedOK    bool // cursor is in sync with the member domains' next edges
-	schedDirty bool // clocked-domain set changed; rebuild before stepping
-	noStatic   bool
-
-	// ffProbe throttles quiescence probing in the run loops: while the
-	// engine keeps failing the probe (the common case for a loaded machine),
-	// re-checking every step is pure overhead, and a delayed skip is
-	// harmless — ticking a quiescent machine and skipping it are equivalent
-	// by the IdleSkipper contract.
-	ffProbe uint32
-
 	profiling bool
 	costs     []tickCost
 }
-
-// ffProbeBackoff is the number of steps between quiescence probes after a
-// failed probe.
-const ffProbeBackoff = 64
 
 // NewEngine creates an engine over the given domains. Domains may be added
 // later with AddDomain, but only before Run is first called.
@@ -383,35 +259,17 @@ func NewEngine(domains ...*Domain) *Engine {
 // first edge one period from now; event-driven domains keep whatever is
 // scheduled (or NoEdge).
 func (e *Engine) AddDomain(d *Domain) {
-	d.order = len(e.domains)
 	d.eng = e
 	if !d.eventDriven {
 		d.next = e.now + d.period
-		e.clocked = append(e.clocked, d)
-		e.schedDirty = true
-		e.schedOK = false
-	} else {
-		e.eventD = append(e.eventD, d)
 	}
 	e.domains = append(e.domains, d)
 	e.costs = append(e.costs, tickCost{})
 }
 
-// SetStaticSchedule toggles the precomputed hyperperiod fast path (on by
-// default). Disabling it forces every step through the generic min-scan; the
-// tick sequence and all results are identical either way — the scheduler
-// determinism tests assert exactly that.
-func (e *Engine) SetStaticSchedule(on bool) {
-	e.noStatic = !on
-	e.sched = nil
-	e.schedOK = false
-	e.schedDirty = true
-}
-
 // ProfileTicks enables (or disables) per-domain tick cost collection,
 // retrievable with TickCosts. Profiling adds two clock reads per domain tick
-// and routes every step through the generic path (same tick sequence, no
-// static-table replay), so leave it off for recorded results.
+// and leaves the tick sequence unchanged.
 func (e *Engine) ProfileTicks(on bool) { e.profiling = on }
 
 // TickCosts returns per-domain tick counts and accumulated wall time. Wall
@@ -429,8 +287,7 @@ func (e *Engine) TickCosts() []DomainCost {
 	return out
 }
 
-// Steps returns the number of discrete time steps the engine has executed
-// (idle-skip jumps count as one step regardless of distance).
+// Steps returns the number of discrete time steps the engine has executed.
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Now returns the current simulated time.
@@ -446,195 +303,19 @@ func (e *Engine) Stop() { e.stop.Store(true) }
 // RunUntil began.
 func (e *Engine) Stopped() bool { return e.stop.Load() }
 
-// gcd of two periods.
-func gcd(a, b Picoseconds) Picoseconds {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// buildSched precomputes the hyperperiod edge schedule for the longest
-// registration-order prefix of clocked domains whose merged table fits
-// maxSchedEntries, or leaves sched nil when no prefix helps (or the static
-// path is disabled). Entries cover the half-open window
-// (schedBase, schedBase+hyper]; the pattern repeats exactly because every
-// member period divides the hyperperiod.
-func (e *Engine) buildSched() {
-	e.schedDirty = false
-	e.sched = nil
-	e.schedOK = false
-	if e.noStatic || len(e.clocked) == 0 {
-		return
-	}
-	edgesFor := func(h Picoseconds, k int) uint64 {
-		var edges uint64
-		for _, d := range e.clocked[:k] {
-			edges += uint64(h/d.period) + 1 // +1 covers mid-phase offsets
-		}
-		return edges
-	}
-	// Greedily extend the member prefix while the merged table stays small.
-	h := e.clocked[0].period
-	k := 1
-	for k < len(e.clocked) && k < 32 {
-		d := e.clocked[k]
-		g := gcd(h, d.period)
-		l := uint64(h / g) // dimensionless: how many d.period fit the lcm
-		if l > uint64(NoEdge)/uint64(d.period) {
-			break // hyperperiod overflows; keep the shorter prefix
-		}
-		h2 := Picoseconds(l) * d.period
-		if edgesFor(h2, k+1) > maxSchedEntries {
-			break
-		}
-		h = h2
-		k++
-	}
-	base := e.now
-	// Offsets of each member's next edge from the base; every offset is in
-	// (0, period], so the edge pattern over (base, base+h] repeats with h.
-	cur := make([]Picoseconds, k)
-	for i, d := range e.clocked[:k] {
-		cur[i] = d.next - base
-	}
-	sched := make([]schedEdge, 0, edgesFor(h, k))
-	for {
-		min := NoEdge
-		for _, c := range cur {
-			if c < min {
-				min = c
-			}
-		}
-		if min > h {
-			break
-		}
-		var mask uint32
-		for i, c := range cur {
-			if c == min {
-				mask |= 1 << uint(i)
-				cur[i] += e.clocked[i].period
-			}
-		}
-		sched = append(sched, schedEdge{at: min, mask: mask})
-	}
-	if len(sched) == 0 {
-		return
-	}
-	e.sched = sched
-	e.schedN = k
-	e.hyper = h
-	e.schedBase = base
-	e.schedPos = 0
-	e.schedOK = true
-}
-
-// resyncSched repositions the schedule cursor after an idle-skip jump moved
-// the clocked domains' edges without consuming entries.
-func (e *Engine) resyncSched() {
-	if e.sched == nil {
-		return
-	}
-	t := NoEdge
-	for _, d := range e.clocked[:e.schedN] {
-		if d.next < t {
-			t = d.next
-		}
-	}
-	if t == NoEdge {
-		return
-	}
-	rel := t - e.schedBase
-	windows := uint64(rel / e.hyper) // dimensionless: whole hyperperiods skipped
-	e.schedBase += Picoseconds(windows) * e.hyper
-	rel = t - e.schedBase
-	if rel == 0 { // t lands exactly on a base: it is the final entry of the previous window
-		e.schedBase -= e.hyper
-		rel = e.hyper
-	}
-	e.schedPos = sort.Search(len(e.sched), func(i int) bool { return e.sched[i].at >= rel })
-	if e.schedPos < len(e.sched) && e.sched[e.schedPos].at == rel {
-		e.schedOK = true
-	}
-}
-
-// minEventNext returns the earliest pending event-domain edge.
-func (e *Engine) minEventNext() Picoseconds {
-	min := NoEdge
-	for _, d := range e.eventD {
-		if d.next < min {
-			min = d.next
-		}
-	}
-	return min
-}
-
-// Step advances simulated time to the next clock edge of any domain and ticks
-// every domain whose edge falls on that instant, in registration order.
-// It reports whether any work was done (false when no domains exist).
+// Step advances simulated time to the next edge of any domain and runs
+// every domain whose edge falls on that instant, in registration order. It
+// reports whether any work was done (false when no domain has a pending
+// edge).
 //
 //nic:hotpath
 func (e *Engine) Step() bool {
-	if e.schedDirty {
-		e.buildSched()
-	} else if e.sched != nil && !e.schedOK {
-		e.resyncSched()
-	}
-	if e.schedOK && !e.profiling {
-		t := e.schedBase + e.sched[e.schedPos].at
-		// The static table only knows member edges. Clocked domains outside
-		// the prefix may share the instant — they tick after the members,
-		// which is registration order — but an earlier edge of theirs, or any
-		// event edge at or before t, needs the generic path.
-		ok := true
-		extraDue := false
-		for _, d := range e.clocked[e.schedN:] {
-			if d.next < t {
-				ok = false
-				break
-			}
-			if d.next == t {
-				extraDue = true
-			}
-		}
-		if ok && (len(e.eventD) == 0 || e.minEventNext() > t) {
-			e.now = t
-			e.steps++
-			mask := e.sched[e.schedPos].mask
-			e.schedPos++
-			if e.schedPos == len(e.sched) {
-				e.schedPos = 0
-				e.schedBase += e.hyper
-			}
-			for mask != 0 {
-				i := bits.TrailingZeros32(mask)
-				mask &^= 1 << uint(i)
-				e.clocked[i].tick()
-			}
-			if extraDue {
-				for _, d := range e.clocked[e.schedN:] {
-					if d.next == t {
-						d.tick()
-					}
-				}
-			}
-			return true
-		}
-	}
-	return e.stepGeneric()
-}
-
-// stepGeneric is the fallback step: an allocation-free min-scan over every
-// domain. Simultaneous edges run in registration order because e.domains is
-// in registration order.
-//
-//nic:hotpath
-func (e *Engine) stepGeneric() bool {
-	if len(e.domains) == 0 {
+	ds := e.domains
+	if len(ds) == 0 {
 		return false
 	}
-	next := e.domains[0].next
-	for _, d := range e.domains[1:] {
+	next := ds[0].next
+	for _, d := range ds[1:] {
 		if d.next < next {
 			next = d.next
 		}
@@ -644,20 +325,15 @@ func (e *Engine) stepGeneric() bool {
 	}
 	e.now = next
 	e.steps++
-	// Keep the static cursor in sync when this step consumed a static edge.
-	if e.schedOK && next == e.schedBase+e.sched[e.schedPos].at {
-		e.schedPos++
-		if e.schedPos == len(e.sched) {
-			e.schedPos = 0
-			e.schedBase += e.hyper
-		}
-	}
-	for _, d := range e.domains {
+	// Ticks are opaque calls, so field reads inside the loop would reload
+	// after every one; ds and prof keep the hot loop in registers.
+	prof := e.profiling
+	for i, d := range ds {
 		if d.next != next {
 			continue
 		}
 		var t0 time.Time
-		if e.profiling {
+		if prof {
 			t0 = time.Now() //nic:wallclock profiling measures real per-domain cost
 		}
 		if d.eventDriven {
@@ -666,8 +342,8 @@ func (e *Engine) stepGeneric() bool {
 		} else {
 			d.tick()
 		}
-		if e.profiling {
-			c := &e.costs[d.order]
+		if prof {
+			c := &e.costs[i]
 			c.wall += int64(time.Since(t0)) //nic:wallclock
 			c.ticks++
 		}
@@ -675,73 +351,7 @@ func (e *Engine) stepGeneric() bool {
 	return true
 }
 
-// quiescent reports whether every clocked domain is fully idle. Engines with
-// no clocked domain are never quiescent (pure event engines terminate by
-// exhausting their events instead).
-func (e *Engine) quiescent() bool {
-	if len(e.clocked) == 0 {
-		return false
-	}
-	for _, d := range e.clocked {
-		if !d.quiescent() {
-			return false
-		}
-	}
-	return true
-}
-
-// fastForward jumps across an idle stretch: it advances every clocked domain
-// over its edges strictly before the next event edge (or, with no event
-// pending before the deadline, through the first edge at or past the
-// deadline, exactly the edge a ticked run would overshoot onto). It reports
-// whether any progress was made; false means the next instant needs a real
-// step (an event is due now).
-func (e *Engine) fastForward(deadline Picoseconds) bool {
-	target := deadline
-	final := true // jumping to the deadline itself, not to an event
-	if ev := e.minEventNext(); ev <= target {
-		target = ev
-		final = false
-	}
-	if target <= e.now {
-		return false
-	}
-	moved := false
-	for _, d := range e.clocked {
-		if d.next >= target {
-			continue
-		}
-		k := uint64((target-1-d.next)/d.period) + 1 // edges in [d.next, target)
-		d.skipIdle(k)
-		moved = true
-	}
-	if final {
-		// Replicate the run loop's overshoot: the first edge at or past the
-		// deadline still elapses (as a skip), and time lands on it.
-		t := NoEdge
-		for _, d := range e.clocked {
-			if d.next < t {
-				t = d.next
-			}
-		}
-		if t != NoEdge {
-			for _, d := range e.clocked {
-				if d.next == t {
-					d.skipIdle(1)
-				}
-			}
-			e.now = t
-			e.steps++
-			moved = true
-		}
-	}
-	if moved {
-		e.schedOK = false // cursor resyncs lazily on the next step
-	}
-	return moved
-}
-
-// maxDeadline clamps e.now + dur against Picoseconds overflow: a huge
+// deadlineAfter clamps e.now + dur against Picoseconds overflow: a huge
 // duration saturates at the maximum representable instant instead of
 // wrapping into the past (which would silently run nothing).
 func (e *Engine) deadlineAfter(dur Picoseconds) Picoseconds {
@@ -757,15 +367,7 @@ func (e *Engine) deadlineAfter(dur Picoseconds) Picoseconds {
 func (e *Engine) RunFor(dur Picoseconds) {
 	deadline := e.deadlineAfter(dur)
 	e.stop.Store(false)
-	e.ffProbe = 0
 	for !e.stop.Load() && e.now < deadline {
-		if e.ffProbe > 0 {
-			e.ffProbe--
-		} else if e.quiescent() && e.fastForward(deadline) {
-			continue
-		} else {
-			e.ffProbe = ffProbeBackoff - 1
-		}
 		if !e.Step() {
 			return
 		}
@@ -778,18 +380,7 @@ func (e *Engine) RunFor(dur Picoseconds) {
 func (e *Engine) RunUntil(limit Picoseconds, done func() bool) bool {
 	deadline := e.deadlineAfter(limit)
 	e.stop.Store(false)
-	e.ffProbe = 0
 	for !e.stop.Load() && e.now < deadline {
-		if e.ffProbe > 0 {
-			e.ffProbe--
-		} else if e.quiescent() && e.fastForward(deadline) {
-			if done() {
-				return true
-			}
-			continue
-		} else {
-			e.ffProbe = ffProbeBackoff - 1
-		}
 		if !e.Step() {
 			return done()
 		}
