@@ -40,9 +40,11 @@ type MACTx struct {
 	Obs      *obs.Recorder
 	ObsTrack int32
 
-	queue    []txFrame // committed, not yet fetched
-	staged   []txFrame // fetched into the MAC buffer (max 2)
-	fetching bool
+	queue     []txFrame // committed, not yet fetched
+	staged    []txFrame // fetched into the MAC buffer (max 2)
+	fetching  bool
+	fetched   txFrame // the frame being fetched while fetching is set
+	fetchDone func()  // pre-bound SDRAM fetch completion
 
 	wireRemain int     // bytes left of the frame currently on the wire
 	cur        txFrame // the frame currently on the wire
@@ -62,6 +64,11 @@ type txFrame struct {
 func NewMACTx(port *ScratchPort, sdram *mem.SDRAM, sdramPort int, progressAddr uint32) *MACTx {
 	m := &MACTx{Port: port, sdram: sdram, sdramPort: sdramPort, ProgressAddr: progressAddr}
 	m.progressInc = func() { m.Progress.Inc() }
+	m.fetchDone = func() {
+		m.staged = append(m.staged, m.fetched)
+		m.fetched = txFrame{}
+		m.fetching = false
+	}
 	return m
 }
 
@@ -89,13 +96,8 @@ func (m *MACTx) TickCPU(cycle uint64) {
 		f := m.queue[0]
 		m.queue = m.queue[1:]
 		m.fetching = true
-		m.sdram.Enqueue(m.sdramPort, mem.Transfer{
-			Addr: f.bufAddr, Len: f.size,
-			OnDone: func() {
-				m.staged = append(m.staged, f)
-				m.fetching = false
-			},
-		})
+		m.fetched = f
+		m.sdram.Enqueue(m.sdramPort, mem.Transfer{Addr: f.bufAddr, Len: f.size, OnDone: m.fetchDone})
 	}
 	m.Port.Tick(cycle)
 }

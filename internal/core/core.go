@@ -236,6 +236,7 @@ func New(cfg Config) *NIC {
 		ic := mem.NewICache(cfg.ICacheBytes, cfg.ICacheWays, cfg.ICacheLine)
 		c := cpu.New(i, n.SP, n.Xbar, i, ic, n.IMem, firmware.NumAcct)
 		c.NextWork = n.FW.NextWorkFor(i)
+		c.Recycle = n.FW.Recycle
 		n.Cores = append(n.Cores, c)
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -179,5 +180,56 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := RMWConfig().Validate(); err != nil {
 		t.Errorf("Validate rejected the RMW config: %v", err)
+	}
+}
+
+// TestStuckCoreTakeoverWithRecycling: a core-stuck plan preempts a stream
+// mid-flight, and its remainder aliases the evicted stream's op buffer. The
+// firmware's stream recycling must not change that run: the report is
+// byte-identical to one with recycling unhooked, ordering and the run
+// invariants hold, and the takeover rescues the same streams as before
+// recycling existed.
+func TestStuckCoreTakeoverWithRecycling(t *testing.T) {
+	plan := faults.Plan{Events: []faults.Event{{Kind: faults.CoreStuck, At: 330 * sim.Microsecond, Target: 1}}}
+	run := func(cfg Config, recycle bool) (Report, []byte) {
+		n := New(cfg)
+		n.AttachWorkload(1472, false)
+		if err := n.AttachFaults(plan); err != nil {
+			t.Fatalf("AttachFaults: %v", err)
+		}
+		if !recycle {
+			for _, c := range n.Cores {
+				c.Recycle = nil
+			}
+		}
+		r := n.Run(200*sim.Microsecond, 500*sim.Microsecond)
+		b, err := r.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, b
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		rescued uint64
+	}{
+		{"sw-200", DefaultConfig(), 1},
+		{"rmw-166", RMWConfig(), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, got := run(tc.cfg, true)
+			_, want := run(tc.cfg, false)
+			if !bytes.Equal(got, want) {
+				t.Errorf("recycling changed the report:\nwith:    %s\nwithout: %s", got, want)
+			}
+			if r.InvariantViolations != 0 || r.TxOutOfOrder != 0 || r.RxOutOfOrder != 0 {
+				t.Errorf("violations=%d out-of-order tx=%d rx=%d, want all 0",
+					r.InvariantViolations, r.TxOutOfOrder, r.RxOutOfOrder)
+			}
+			if f := r.Faults; f == nil || f.Injected.CoreStuck != 1 || f.Takeovers != 1 || f.StreamsRescued != tc.rescued {
+				t.Errorf("faults = %+v, want 1 stuck core, 1 takeover, %d rescued", f, tc.rescued)
+			}
+		})
 	}
 }

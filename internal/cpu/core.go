@@ -157,6 +157,11 @@ type Core struct {
 	// Observers must not mutate the stream.
 	OnStreamBegin func(*Stream)
 	OnStreamEnd   func(*Stream)
+	// Recycle, when set, takes back each stream that completes normally on
+	// this core, after its OnDone has run; the core holds no reference to it
+	// afterwards. A stream evicted by Preempt is never handed back, since
+	// its remainder aliases its Ops.
+	Recycle func(*Stream)
 
 	cur   *Stream
 	opIdx int
@@ -606,6 +611,9 @@ func (c *Core) advance() {
 		}
 		if done != nil {
 			done()
+		}
+		if c.Recycle != nil {
+			c.Recycle(cur)
 		}
 		return
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestCostEmitsExactBudget(t *testing.T) {
 	for _, c := range []TaskCost{{150, 34, 21}, {52, 14, 10}, {12, 6, 0}, {555, 126, 78}} {
-		b := newBuilder(1, 0.15)
+		b := (&streamSource{}).builder(1, 0.15)
 		b.cost(c, func(i int) uint32 { return uint32(i) * 4 })
 		if len(b.ops) != c.Instr {
 			t.Errorf("cost(%+v) emitted %d ops, want %d", c, len(b.ops), c.Instr)

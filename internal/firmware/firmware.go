@@ -203,6 +203,7 @@ type Firmware struct {
 
 	evSeq   uint64
 	seedCtr int64
+	src     streamSource // hazard generator and recycled streams
 	claimRR int
 	nCores  int
 
@@ -421,6 +422,19 @@ func (fw *Firmware) seed() int64 {
 	return fw.seedCtr
 }
 
+// newBuilder starts the next stream under a fresh seed.
+func (fw *Firmware) newBuilder() streamBuilder {
+	return fw.src.builder(fw.seed(), fw.Prof.HazardFrac)
+}
+
+// Recycle takes back a stream that completed normally, once its OnDone has
+// run, so a later stream reuses the struct and its op buffer. A stream a
+// core evicted with Preempt must not come back: its remainder aliases its
+// ops.
+func (fw *Firmware) Recycle(s *cpu.Stream) {
+	fw.src.free = append(fw.src.free, s)
+}
+
 // eventAddr returns the scratchpad address of the next event structure.
 func (fw *Firmware) eventAddr() uint32 {
 	a := RegionEvents + uint32(fw.evSeq%512)*32
@@ -477,7 +491,7 @@ func addrWalk(bases ...uint32) func(i int) uint32 {
 // event queue under the queue lock (software-raised events and retries flow
 // through the same queue, so every dispatch synchronizes on it).
 func (fw *Firmware) dispatchStream(acct int) *cpu.Stream {
-	b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+	b := fw.newBuilder()
 	ev := fw.eventAddr()
 	b.cost(fw.Prof.DispatchPerEvent, addrCycle(ev, PtrDMARead, PtrMACRx))
 	b.lock(LockEventQ, nil)
@@ -495,7 +509,7 @@ func (fw *Firmware) dispatchStream(acct int) *cpu.Stream {
 // as a significant overhead. The update instruction eliminates exactly these
 // scans, so the RMW-enhanced poll touches only the hardware pointers.
 func (fw *Firmware) pollStream(coreID int) *cpu.Stream {
-	b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+	b := fw.newBuilder()
 	b.cost(fw.Prof.PollPass, addrCycle(PtrMailbox, PtrDMARead, PtrDMAWrite, PtrMACTx, PtrMACRx, PtrRecvBDPool))
 	if fw.Prof.Ordering == SoftwareOnly {
 		scans := []struct {
@@ -557,7 +571,7 @@ func (fw *Firmware) claimFetchSendBD(coreID int) *cpu.Stream {
 	}
 	fw.bdFetchOut++
 
-	b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+	b := fw.newBuilder()
 	base := RegionSendBD + uint32(fw.sendSeq%2048)*16
 	b.cost(fw.Prof.FetchSendBDBatch.scale(float64(nBDs)/SendBDsPerBatch), addrCycle(base, base+16, base+32))
 	b.lock(LockSendBD, nil)
@@ -603,7 +617,7 @@ func (fw *Firmware) claimSendPrep(coreID int) *cpu.Stream {
 	fw.prepQ = fw.prepQ[n:]
 	fw.claimedSend += n
 
-	b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+	b := fw.newBuilder()
 	bases := make([]uint32, 0, 2*n)
 	for _, fr := range frames {
 		bases = append(bases,
@@ -659,7 +673,7 @@ func (fw *Firmware) claimSendDone(coreID int) *cpu.Stream {
 	fw.sendDMADone = fw.sendDMADone[n:]
 	fw.ordPendSend += n
 
-	b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+	b := fw.newBuilder()
 	bases := make([]uint32, 0, n)
 	for _, fr := range frames {
 		bases = append(bases, RegionSendDesc+desc(fr.idx, DescStageDone))
@@ -695,7 +709,7 @@ func (fw *Firmware) claimSendComplete(coreID int) *cpu.Stream {
 	frames := append([]*sendFrame(nil), fw.txDoneQ[:n]...)
 	fw.txDoneQ = fw.txDoneQ[n:]
 
-	b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+	b := fw.newBuilder()
 	bases := make([]uint32, 0, n)
 	for _, fr := range frames {
 		bases = append(bases, RegionSendDesc+desc(fr.idx, DescStageComplete))
@@ -755,7 +769,7 @@ func (fw *Firmware) claimFetchRecvBD(coreID int) *cpu.Stream {
 		}
 		rq.bdFetchOut++
 
-		b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+		b := fw.newBuilder()
 		base := rq.bdAddr(len(fw.rxq), rq.seq)
 		b.cost(fw.Prof.FetchRecvBDBatch.scale(float64(n)/RecvBDsPerBatch), addrCycle(base, base+16))
 		b.lock(LockRecvBDQ(rq.q), nil)
@@ -793,7 +807,7 @@ func (fw *Firmware) claimRecvPrep(coreID int) *cpu.Stream {
 		rq.bdCredit -= n
 		fw.claimedRecv += n
 
-		b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+		b := fw.newBuilder()
 		bases := make([]uint32, 0, 2*n)
 		for _, fr := range frames {
 			bases = append(bases,
@@ -848,7 +862,7 @@ func (fw *Firmware) claimRecvDone(coreID int) *cpu.Stream {
 		rq.dmaDone = rq.dmaDone[n:]
 		fw.ordPendRecv += n
 
-		b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+		b := fw.newBuilder()
 		bases := make([]uint32, 0, n)
 		for _, fr := range frames {
 			bases = append(bases, RegionRecvDesc+desc(fr.idx, DescStageDone))
@@ -889,7 +903,7 @@ func (fw *Firmware) claimRecvComplete(coreID int) *cpu.Stream {
 		frames := append([]*recvFrame(nil), rq.doneQ[:n]...)
 		rq.doneQ = rq.doneQ[n:]
 
-		b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+		b := fw.newBuilder()
 		bases := make([]uint32, 0, n)
 		for _, fr := range frames {
 			bases = append(bases, RegionRecvDesc+desc(fr.idx, DescStageComplete))
@@ -983,7 +997,7 @@ func (fw *Firmware) orderingSetStream(send bool, sf []*sendFrame, rf []*recvFram
 		extra = 0
 	}
 
-	b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+	b := fw.newBuilder()
 	if fw.Prof.Ordering == SoftwareOnly {
 		// The measured sw_set kernel, per frame: lock acquire (ll/bnez/
 		// addiu/sc/beqz/nop emerge from OpLock), index arithmetic, word
@@ -1054,7 +1068,7 @@ func (fw *Firmware) commitStream(coreID int, send bool, rq *rxQueue, ready int) 
 		head = rq.commitHead
 	}
 
-	b := newBuilder(fw.seed(), fw.Prof.HazardFrac)
+	b := fw.newBuilder()
 	b.cost(fw.Prof.CommitPerEvent, addrCycle(fw.eventAddr(), hwPtr))
 
 	wordAt := func(k uint64) uint32 {

@@ -91,7 +91,7 @@ func TestTaskCostArithmetic(t *testing.T) {
 }
 
 func TestBuilderLockUnlockAndRMW(t *testing.T) {
-	b := newBuilder(1, 0)
+	b := (&streamSource{}).builder(1, 0)
 	b.lock(0x100, nil)
 	b.alu(2)
 	b.unlock(0x100, nil)
@@ -109,7 +109,7 @@ func TestBuilderLockUnlockAndRMW(t *testing.T) {
 }
 
 func TestBuilderThenChainsCompletions(t *testing.T) {
-	b := newBuilder(1, 0)
+	b := (&streamSource{}).builder(1, 0)
 	calls := []int{}
 	b.alu(1)
 	b.then(func() { calls = append(calls, 1) })
@@ -122,7 +122,7 @@ func TestBuilderThenChainsCompletions(t *testing.T) {
 }
 
 func TestBuilderThenOnEmptyStreamAddsOp(t *testing.T) {
-	b := newBuilder(1, 0)
+	b := (&streamSource{}).builder(1, 0)
 	ran := false
 	b.then(func() { ran = true })
 	if len(b.ops) != 1 {

@@ -334,47 +334,105 @@ func DefaultProfile(ord Ordering) Profile {
 	return p
 }
 
+// streamSource is the state one firmware's stream builders share: the
+// generator that draws hazards past the memo, and the free list of streams
+// whose op buffers later builders reuse. A firmware runs its builders one
+// at a time (each is built before the next draws), so they can share it.
+type streamSource struct {
+	rng  *rand.Rand    // reseeded once per stream that outruns its memo entry
+	bits []uint64      // the live builder's draws, memoized prefix included
+	free []*cpu.Stream // completed streams, recycled by builder
+}
+
+// builder starts a stream with the given hazard seed and fraction, reusing
+// a recycled stream and its op buffer when one is free.
+func (src *streamSource) builder(seed int64, hazardFrac float64) streamBuilder {
+	b := streamBuilder{src: src, seed: seed, hf: hazardFrac}
+	if n := len(src.free); n > 0 {
+		b.s = src.free[n-1]
+		src.free = src.free[:n-1]
+		b.ops = b.s.Ops[:0]
+	}
+	return b
+}
+
 // streamBuilder assembles op streams with evenly interleaved memory
 // operations and deterministic pseudo-random addresses within a region.
 type streamBuilder struct {
 	ops  []cpu.Op
+	s    *cpu.Stream // recycled stream for build to fill, or nil
+	src  *streamSource
 	seed int64
 	hf   float64
 	draw int          // hazard draws consumed so far
-	ent  *hazardEntry // cached draw bits (nil until first draw)
-	rng  *rand.Rand   // live fallback when the cache is saturated
-}
-
-func newBuilder(seed int64, hazardFrac float64) *streamBuilder {
-	return &streamBuilder{seed: seed, hf: hazardFrac}
+	ent  *hazardEntry // memoized draws (nil until the first draw)
+	full bool         // the memo had no room for this seed at lookup
+	live bool         // draws past ent come from src.rng
 }
 
 // hazard returns the next deterministic hazard draw: exactly the value
 // rand.New(rand.NewSource(seed)).Float64() < hf would yield for this draw
 // index. Streams are seeded from an incrementing counter, so the same seeds
 // recur in every simulation a process runs (benchmark iterations, suite
-// sweeps); seeding Go's generator costs ~2000 multiplies, which was one of
-// the hottest paths in the profile, so the draw sequence is memoized
-// process-wide per (seed, fraction) and replayed as a bitset.
+// sweeps); seeding Go's generator costs ~2000 multiplies, so the draw
+// sequence is memoized process-wide per (seed, fraction) and replayed as a
+// bitset. A stream that runs past its memo entry seeds the firmware's
+// generator once, skips the memoized draws once, draws live until build,
+// and build publishes the longer entry.
 func (b *streamBuilder) hazard() bool {
 	i := b.draw
 	b.draw++
-	if b.rng != nil {
-		return b.rng.Float64() < b.hf
-	}
-	if b.ent == nil || i >= b.ent.n {
-		b.ent = hazardSeq(b.seed, b.hf, i+1)
+	if !b.live {
 		if b.ent == nil {
-			// Cache saturated: replay this stream's draws live. The first i
-			// draws were already consumed from the cache, so skip them.
-			b.rng = rand.New(rand.NewSource(b.seed))
-			for j := 0; j < i; j++ {
-				b.rng.Float64()
-			}
-			return b.rng.Float64() < b.hf
+			b.ent, b.full = hazardLookup(b.seed, b.hf)
 		}
+		if i < b.ent.n {
+			return b.ent.bits[i>>6]>>(uint(i)&63)&1 != 0
+		}
+		b.goLive()
 	}
-	return b.ent.bits[i>>6]>>(uint(i)&63)&1 != 0
+	return b.liveDraw(i)
+}
+
+// goLive seeds the shared generator for this stream and skips the draws the
+// memo entry already holds, whose bits seed the live bit buffer.
+func (b *streamBuilder) goLive() {
+	src := b.src
+	if src.rng == nil {
+		src.rng = rand.New(rand.NewSource(b.seed))
+	} else {
+		src.rng.Seed(b.seed)
+	}
+	for j := 0; j < b.ent.n; j++ {
+		src.rng.Float64()
+	}
+	src.bits = append(src.bits[:0], b.ent.bits...)
+	b.live = true
+}
+
+// liveDraw draws hazard i from the generator and records it in the live bit
+// buffer. Entry lengths are multiples of 64, so draw i lands in word i>>6.
+func (b *streamBuilder) liveDraw(i int) bool {
+	src := b.src
+	if i&63 == 0 {
+		src.bits = append(src.bits, 0)
+	}
+	if src.rng.Float64() < b.hf {
+		src.bits[i>>6] |= 1 << (uint(i) & 63)
+		return true
+	}
+	return false
+}
+
+// publish extends the live draws to the next memo length — at least double
+// the entry it outran, in whole chunks — and stores them as the seed's entry.
+func (b *streamBuilder) publish() {
+	target := max(2*b.ent.n, b.draw)
+	target = (target + hazardChunk - 1) / hazardChunk * hazardChunk
+	for i := b.draw; i < target; i++ {
+		b.liveDraw(i)
+	}
+	hazardStore(b.seed, b.hf, b.src.bits, target)
 }
 
 // hazardKey identifies one memoized draw sequence.
@@ -395,62 +453,45 @@ var (
 	hazardCache = map[hazardKey]*hazardEntry{} //nic:guardedby hazardMu
 )
 
+// noDraws is the entry of a seed the memo does not hold.
+var noDraws = &hazardEntry{}
+
 const (
 	// hazardChunk is the draw-count granularity of cached entries; most
 	// streams draw far fewer (a poll pass draws ~9).
 	hazardChunk = 128
-	// hazardCacheMax bounds the cache; beyond it new seeds use the live
-	// fallback. 1<<20 entries ≈ tens of MB, far above any suite's seed count.
+	// hazardCacheMax bounds the cache; beyond it new seeds draw live and are
+	// not published. 1<<20 entries ≈ tens of MB, far above any suite's seed
+	// count.
 	hazardCacheMax = 1 << 20
 )
 
-// hazardSeq returns a cached entry holding at least need draws for the given
-// seed and fraction, generating or extending it if required, or nil when the
-// cache is full.
-func hazardSeq(seed int64, hf float64, need int) *hazardEntry {
-	k := hazardKey{seed, hf}
+// hazardLookup returns the memoized draws for the given seed and fraction
+// (noDraws when there are none) and whether the memo is too full to take
+// the seed.
+func hazardLookup(seed int64, hf float64) (e *hazardEntry, full bool) {
 	hazardMu.RLock()
-	e := hazardCache[k]
-	hazardMu.RUnlock()
-	if e != nil && e.n >= need {
-		return e
+	defer hazardMu.RUnlock()
+	e = hazardCache[hazardKey{seed, hf}]
+	if e == nil {
+		return noDraws, len(hazardCache) >= hazardCacheMax
 	}
+	return e, false
+}
+
+// hazardStore publishes the first n draws in bits as the entry for seed and
+// fraction, unless the memo already holds as many or has no room for a new
+// seed. Every entry is a prefix of the same sequence, so when builders race
+// to extend one seed, the longest entry wins.
+func hazardStore(seed int64, hf float64, bits []uint64, n int) {
+	k := hazardKey{seed, hf}
 	hazardMu.Lock()
 	defer hazardMu.Unlock()
-	e = hazardCache[k]
-	if e != nil && e.n >= need {
-		return e
+	e := hazardCache[k]
+	if e != nil && e.n >= n || e == nil && len(hazardCache) >= hazardCacheMax {
+		return
 	}
-	if e == nil && len(hazardCache) >= hazardCacheMax {
-		return nil
-	}
-	have := 0
-	if e != nil {
-		have = e.n
-	}
-	target := have * 2
-	if target < need {
-		target = need
-	}
-	target = (target + hazardChunk - 1) / hazardChunk * hazardChunk
-	// Regenerate from the seed, skipping the draws already cached; seeding
-	// dominates the cost and happens at most a few times per seed ever.
-	rng := rand.New(rand.NewSource(seed))
-	for j := 0; j < have; j++ {
-		rng.Float64()
-	}
-	bits := make([]uint64, (target+63)/64)
-	if e != nil {
-		copy(bits, e.bits)
-	}
-	for j := have; j < target; j++ {
-		if rng.Float64() < hf {
-			bits[j>>6] |= 1 << (uint(j) & 63)
-		}
-	}
-	ne := &hazardEntry{bits: bits, n: target}
-	hazardCache[k] = ne
-	return ne
+	hazardCache[k] = &hazardEntry{bits: slices.Clone(bits[:n/64]), n: n}
 }
 
 // cost appends a TaskCost worth of work: c.Instr instructions with the
@@ -554,10 +595,18 @@ func (b *streamBuilder) then(f func()) {
 	last.OnComplete = func() { prev(); f() }
 }
 
-// build finalizes the stream.
+// build finalizes the stream, publishing any live draws to the memo.
 func (b *streamBuilder) build(name string, codeBase, codeLen uint32, acct int, onDone func()) *cpu.Stream {
-	return &cpu.Stream{
+	if b.live && !b.full {
+		b.publish()
+	}
+	s := b.s
+	if s == nil {
+		s = new(cpu.Stream)
+	}
+	*s = cpu.Stream{
 		Name: name, CodeBase: codeBase, CodeLen: codeLen,
 		Ops: b.ops, AcctID: acct, OnDone: onDone,
 	}
+	return s
 }
