@@ -128,8 +128,6 @@ type engine struct {
 	queue    []job
 	qhead    int
 	inFlight int
-	// completion ordering: jobs finish the pipeline in start order.
-	Completed stats.Counter
 	// faultCompletion, when non-nil, is consulted once per completed job
 	// that carries a firmware notification: drop suppresses the onDone
 	// callback (a lost completion), dup delivers it twice. The pipeline slot
@@ -168,7 +166,6 @@ func (e *engine) tick() {
 		j.run(func() {
 			e.inFlight--
 			e.obs.Counter(e.obsTrack, "in-flight", e.inFlight)
-			e.Completed.Inc()
 			if j.onDone == nil {
 				return
 			}

@@ -3,7 +3,6 @@ package assist
 import (
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // DMARead is the assist that moves data from the host into the NIC: buffer
@@ -13,8 +12,8 @@ import (
 // Register Tick in the CPU clock domain (before the crossbar); SDRAM
 // transfers are enqueued to the SDRAM model, which runs in its own domain.
 // All job phases have order-preserving latency (fixed host delay, FIFO SDRAM
-// port), so jobs complete in issue order and the progress counter behaves as
-// the paper's hardware-maintained pointer.
+// port), so jobs complete in issue order and the progress-pointer writes
+// behave as the paper's hardware-maintained pointer.
 type DMARead struct {
 	Port      *ScratchPort
 	sdram     *mem.SDRAM
@@ -24,11 +23,6 @@ type DMARead struct {
 
 	// ProgressAddr is the scratchpad word firmware polls for completions.
 	ProgressAddr uint32
-	// Progress counts completed jobs (the functional pointer value).
-	Progress stats.Counter
-
-	BDWords  stats.Counter
-	FrameTxs stats.Counter
 }
 
 // NewDMARead creates the engine. depth bounds overlapped jobs (the paper's
@@ -79,10 +73,7 @@ func (d *DMARead) FetchFrame(bufAddr uint32, hdrLen, payLen int, onDone func()) 
 					OnDone: func() {
 						d.sdram.Enqueue(d.sdramPort, mem.Transfer{
 							Addr: bufAddr + uint32(hdrLen), Len: payLen, Write: true,
-							OnDone: func() {
-								d.FrameTxs.Inc()
-								d.complete(done)
-							},
+							OnDone: func() { d.complete(done) },
 						})
 					},
 				})
@@ -102,7 +93,6 @@ func (d *DMARead) writeWords(base uint32, words int, done func()) {
 		} else {
 			d.Port.Write(addr, nil)
 		}
-		d.BDWords.Inc()
 	}
 	if words == 0 {
 		done()
@@ -110,12 +100,7 @@ func (d *DMARead) writeWords(base uint32, words int, done func()) {
 }
 
 // complete publishes progress (one scratchpad write) and finishes the job.
-func (d *DMARead) complete(done func()) {
-	d.Port.Write(d.ProgressAddr, func() {
-		d.Progress.Inc()
-		done()
-	})
-}
+func (d *DMARead) complete(done func()) { d.Port.Write(d.ProgressAddr, done) }
 
 // Tick starts queued jobs and pumps the scratchpad port.
 func (d *DMARead) Tick(cycle uint64) {
@@ -135,9 +120,6 @@ type DMAWrite struct {
 	eng       *engine
 
 	ProgressAddr uint32
-	Progress     stats.Counter
-	FrameTxs     stats.Counter
-	DescWords    stats.Counter
 }
 
 // NewDMAWrite creates the engine.
@@ -166,10 +148,7 @@ func (w *DMAWrite) WriteFrame(bufAddr uint32, length int, onDone func()) {
 			w.sdram.Enqueue(w.sdramPort, mem.Transfer{
 				Addr: bufAddr, Len: length,
 				OnDone: func() {
-					w.host.Delay(func() {
-						w.FrameTxs.Inc()
-						w.complete(done)
-					})
+					w.host.Delay(func() { w.complete(done) })
 				},
 			})
 		},
@@ -189,7 +168,6 @@ func (w *DMAWrite) WriteDescriptor(spBase uint32, descWords int, onDone func()) 
 			}
 			for i := 0; i < descWords; i++ {
 				addr := spBase + uint32(i)*4
-				w.DescWords.Inc()
 				w.Port.Read(addr, func() {
 					remaining--
 					if remaining == 0 {
@@ -202,12 +180,8 @@ func (w *DMAWrite) WriteDescriptor(spBase uint32, descWords int, onDone func()) 
 	})
 }
 
-func (w *DMAWrite) complete(done func()) {
-	w.Port.Write(w.ProgressAddr, func() {
-		w.Progress.Inc()
-		done()
-	})
-}
+// complete publishes progress (one scratchpad write) and finishes the job.
+func (w *DMAWrite) complete(done func()) { w.Port.Write(w.ProgressAddr, done) }
 
 // Tick starts queued jobs and pumps the scratchpad port.
 func (w *DMAWrite) Tick(cycle uint64) {

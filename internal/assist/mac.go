@@ -29,8 +29,6 @@ type MACTx struct {
 	sdramPort int
 
 	ProgressAddr uint32
-	Progress     stats.Counter
-	progressInc  func() // pre-bound progress-pointer completion
 
 	// OnTransmit fires when a frame's last byte leaves the wire.
 	OnTransmit func(handle any)
@@ -48,10 +46,6 @@ type MACTx struct {
 
 	wireRemain int     // bytes left of the frame currently on the wire
 	cur        txFrame // the frame currently on the wire
-
-	TxFrames stats.Counter
-	TxBytes  stats.Counter // wire payload bytes (frame incl. CRC)
-	WireBusy stats.Utilization
 }
 
 type txFrame struct {
@@ -63,7 +57,6 @@ type txFrame struct {
 // NewMACTx creates the transmit engine.
 func NewMACTx(port *ScratchPort, sdram *mem.SDRAM, sdramPort int, progressAddr uint32) *MACTx {
 	m := &MACTx{Port: port, sdram: sdram, sdramPort: sdramPort, ProgressAddr: progressAddr}
-	m.progressInc = func() { m.Progress.Inc() }
 	m.fetchDone = func() {
 		m.staged = append(m.staged, m.fetched)
 		m.fetched = txFrame{}
@@ -107,7 +100,6 @@ func (m *MACTx) Tick(cycle uint64) { m.TickCPU(cycle) }
 
 // TickMAC advances the wire by BytesPerMACCycle.
 func (m *MACTx) TickMAC(cycle uint64) {
-	m.WireBusy.Total.Inc()
 	if m.wireRemain == 0 {
 		if len(m.staged) == 0 {
 			return
@@ -118,15 +110,12 @@ func (m *MACTx) TickMAC(cycle uint64) {
 		m.cur = f
 		m.Obs.Begin(m.ObsTrack, "tx frame")
 	}
-	m.WireBusy.Busy.Inc()
 	m.wireRemain -= BytesPerMACCycle
 	if m.wireRemain <= 0 {
 		m.wireRemain = 0
 		f := m.cur
 		m.Obs.End(m.ObsTrack, "tx frame")
-		m.TxFrames.Inc()
-		m.TxBytes.Add(uint64(f.size))
-		m.Port.Write(m.ProgressAddr, m.progressInc)
+		m.Port.Write(m.ProgressAddr, nil)
 		if m.OnTransmit != nil {
 			m.OnTransmit(f.handle)
 		}
@@ -166,8 +155,6 @@ type MACRx struct {
 	sdramPort int
 
 	ProgressAddr uint32
-	Progress     stats.Counter
-	progressInc  func() // pre-bound progress-pointer completion
 
 	// Source provides arriving frames.
 	Source NetworkSource
@@ -183,8 +170,8 @@ type MACRx struct {
 	// zero or one disables steering (every frame lands on queue 0, and the
 	// flow hash is never computed — the seed single-queue path).
 	Queues int
-	// Steer selects the queue for each admitted frame from its flow hash;
-	// nil falls back to static hash-mod steering.
+	// Steer selects the queue for each admitted frame from its flow hash.
+	// Required when Queues > 1.
 	Steer Steering
 	// QueueFrames/QueueDrops, when sized by the integration layer, count
 	// accepted frames and buffer-exhaustion drops per receive queue.
@@ -215,11 +202,9 @@ type MACRx struct {
 	staged     int // frames in the staging buffer awaiting SDRAM write
 
 	RxFrames     stats.Counter
-	RxBytes      stats.Counter
 	Drops        stats.Counter
 	WireDrops    stats.Counter // injected wire losses
 	CorruptDrops stats.Counter // injected CRC failures
-	WireBusy     stats.Utilization
 
 	// Per-class malformed-frame reject counters (wire-validity checks).
 	RuntDrops     stats.Counter // shorter than the Ethernet minimum
@@ -237,9 +222,7 @@ const (
 
 // NewMACRx creates the receive engine.
 func NewMACRx(port *ScratchPort, sdram *mem.SDRAM, sdramPort int, progressAddr uint32) *MACRx {
-	m := &MACRx{Port: port, sdram: sdram, sdramPort: sdramPort, ProgressAddr: progressAddr}
-	m.progressInc = func() { m.Progress.Inc() }
-	return m
+	return &MACRx{Port: port, sdram: sdram, sdramPort: sdramPort, ProgressAddr: progressAddr}
 }
 
 // Staged reports frames sitting in the staging buffer awaiting their SDRAM
@@ -254,7 +237,6 @@ func (m *MACRx) Tick(cycle uint64) { m.TickCPU(cycle) }
 
 // TickMAC advances the receive wire.
 func (m *MACRx) TickMAC(cycle uint64) {
-	m.WireBusy.Total.Inc()
 	if m.wireRemain == 0 {
 		if m.Source == nil {
 			return
@@ -268,7 +250,6 @@ func (m *MACRx) TickMAC(cycle uint64) {
 		m.curHandle = handle
 		m.Obs.Begin(m.ObsTrack, "rx frame")
 	}
-	m.WireBusy.Busy.Inc()
 	m.wireRemain -= BytesPerMACCycle
 	if m.wireRemain <= 0 {
 		m.wireRemain = 0
@@ -309,7 +290,6 @@ func (m *MACRx) frameArrived(size int, handle any) {
 	}
 	m.staged++
 	m.RxFrames.Inc()
-	m.RxBytes.Add(uint64(size))
 	if q < len(m.QueueFrames) {
 		m.QueueFrames[q].Inc()
 	}
@@ -322,7 +302,7 @@ func (m *MACRx) frameArrived(size int, handle any) {
 		Addr: addr, Len: size, Write: true,
 		OnDone: func() {
 			m.staged--
-			m.Port.Write(m.ProgressAddr, m.progressInc)
+			m.Port.Write(m.ProgressAddr, nil)
 			if m.OnReceive != nil {
 				m.OnReceive(addr, size, handle, q)
 			}
@@ -343,9 +323,6 @@ func (m *MACRx) queueFor(handle any) int {
 	if meta, ok := handle.(RxFlowMeta); ok {
 		src, dst, srcPort, dstPort := meta.RxFlow()
 		hash = FlowHash(src, dst, srcPort, dstPort)
-	}
-	if m.Steer == nil {
-		return int(hash % uint32(m.Queues))
 	}
 	return m.Steer.Select(hash, m.Queues)
 }

@@ -73,11 +73,6 @@ type Config struct {
 // four scratchpad banks at 200 MHz, 8 KB two-way 32-byte-line instruction
 // caches, and 64-bit 500 MHz GDDR SDRAM.
 func DefaultConfig() Config {
-	// Host.RxQueues stays zero ("unset") so the serialized default config —
-	// and with it every pre-RSS spec hash and report — is byte-identical to
-	// builds that predate multi-queue receive.
-	h := host.DefaultConfig()
-	h.RxQueues = 0
 	return Config{
 		Cores:           6,
 		CPUMHz:          200,
@@ -90,23 +85,11 @@ func DefaultConfig() Config {
 		SDRAM:           mem.DefaultSDRAMConfig(),
 		Ordering:        firmware.SoftwareOnly,
 		Parallelism:     firmware.FrameParallel,
-		Host:            h,
+		Host:            host.DefaultConfig(),
 		TxSlots:         512,
 		RxSlots:         512,
 		DMADepth:        4,
 	}
-}
-
-// rxQueues resolves the effective receive-queue count: the RSS field wins,
-// then an explicit host-level count, then the single-ring default.
-func (c Config) rxQueues() int {
-	if c.RxQueues > 0 {
-		return c.RxQueues
-	}
-	if c.Host.RxQueues > 0 {
-		return c.Host.RxQueues
-	}
-	return 1
 }
 
 // RMWConfig is the paper's RMW-enhanced operating point: the atomic
@@ -181,10 +164,8 @@ func New(cfg Config) *NIC {
 	n.Xbar = mem.NewCrossbar(cfg.Cores+4, cfg.ScratchpadBanks)
 	n.SDRAM = mem.NewSDRAM(cfg.SDRAM)
 	n.IMem = mem.NewInstrMemory(2, cfg.ICacheLine)
-	nq := cfg.rxQueues()
-	hcfg := cfg.Host
-	hcfg.RxQueues = nq
-	n.Host = host.New(hcfg)
+	nq := max(cfg.RxQueues, 1)
+	n.Host = host.New(cfg.Host, nq)
 
 	prtDMARd := cfg.Cores + 0
 	prtDMAWr := cfg.Cores + 1

@@ -23,7 +23,6 @@ type snapshot struct {
 	txFrames, txUDPBytes, txOOO uint64
 	rxFrames, rxUDPBytes, rxOOO uint64
 	rxCorrupt, rxDrops          uint64
-	sendCompleted               uint64
 
 	macRxFrames                                          uint64
 	runtDrops, oversizeDrops, badCRCDrops, filteredDrops uint64
@@ -39,7 +38,7 @@ type snapshot struct {
 	sdramUseful, sdramConsumed, sdramWasted uint64
 	sdramBusy, sdramTotal                   uint64
 
-	imemBusy, imemTotal, imemFills uint64
+	imemBusy, imemTotal uint64
 
 	events [10]uint64
 }
@@ -64,7 +63,6 @@ func (n *NIC) snapshot() snapshot {
 	s.rxOOO = n.Host.RecvOutOfOrd.Value()
 	s.rxCorrupt = n.Host.RecvCorrupt.Value()
 	s.rxDrops = n.As.MACRx.Drops.Value()
-	s.sendCompleted = n.Host.SendCompleted.Value()
 
 	s.macRxFrames = n.As.MACRx.RxFrames.Value()
 	s.runtDrops = n.As.MACRx.RuntDrops.Value()
@@ -102,7 +100,6 @@ func (n *NIC) snapshot() snapshot {
 
 	s.imemBusy = n.IMem.PortBusy.Busy.Value()
 	s.imemTotal = n.IMem.PortBusy.Total.Value()
-	s.imemFills = n.IMem.Fills.Value()
 
 	for i := range s.events {
 		s.events[i] = n.FW.Events[i].Value()
@@ -290,11 +287,7 @@ func (n *NIC) report(end snapshot) Report {
 			LoadStalls:     d.LoadStalls - b.LoadStalls,
 			ConflictStalls: d.ConflictStalls - b.ConflictStalls,
 			PipelineStalls: d.PipelineStalls - b.PipelineStalls,
-			IdleCycles:     d.IdleCycles - b.IdleCycles,
 			SpinLoads:      d.SpinLoads - b.SpinLoads,
-			Loads:          d.Loads - b.Loads,
-			Stores:         d.Stores - b.Stores,
-			RMWs:           d.RMWs - b.RMWs,
 		})
 	}
 	cy := float64(agg.Cycles)
@@ -429,10 +422,7 @@ func (n *NIC) report(end snapshot) Report {
 		r.SLO = evaluateSLO(*n.slo, &r, dropFrac)
 	}
 	if nq := n.Host.RxQueues(); nq > 1 {
-		rss := &RSSReport{Queues: nq, Steering: "hash", CrossReorder: end.crossReord - base.crossReord}
-		if n.As.MACRx.Steer != nil {
-			rss.Steering = n.As.MACRx.Steer.Name()
-		}
+		rss := &RSSReport{Queues: nq, Steering: n.As.MACRx.Steer.Name(), CrossReorder: end.crossReord - base.crossReord}
 		var total, max uint64
 		for q := 0; q < nq; q++ {
 			deliv := end.queueDeliv[q] - base.queueDeliv[q]

@@ -141,7 +141,6 @@ func TestRSSConfigValidation(t *testing.T) {
 		{"non-power-of-two", func(c *Config) { c.RxQueues = 3 }, "power of two"},
 		{"too many queues", func(c *Config) { c.RxQueues = 32 }, "power of two"},
 		{"unknown steering", func(c *Config) { c.Steering = "lru" }, "steering"},
-		{"conflicting counts", func(c *Config) { c.RxQueues = 2; c.Host.RxQueues = 4 }, "conflicting"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -155,12 +154,5 @@ func TestRSSConfigValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
-	}
-	// Matching explicit counts are not a conflict.
-	cfg := DefaultConfig()
-	cfg.RxQueues = 2
-	cfg.Host.RxQueues = 2
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("matching queue counts rejected: %v", err)
 	}
 }

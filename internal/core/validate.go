@@ -41,21 +41,11 @@ func (c Config) Validate() error {
 	if c.RxQueues < 0 {
 		return fmt.Errorf("receive queues must be positive, got %d (omit or use 1 for the single-ring build)", c.RxQueues)
 	}
-	if nq := c.rxQueues(); nq > firmware.MaxRxQueues || nq&(nq-1) != 0 {
+	if nq := c.RxQueues; nq > firmware.MaxRxQueues || nq&(nq-1) != 0 {
 		return fmt.Errorf("receive queues must be a power of two ≤ %d, got %d (the receive flag region subdivides evenly)", firmware.MaxRxQueues, nq)
-	}
-	if c.RxQueues > 0 && c.Host.RxQueues > 0 && c.RxQueues != c.Host.RxQueues {
-		return fmt.Errorf("conflicting receive queue counts: RxQueues=%d but Host.RxQueues=%d (set one; the other follows)", c.RxQueues, c.Host.RxQueues)
 	}
 	if _, err := assist.NewSteering(c.Steering); err != nil {
 		return err
 	}
-	// Validate the host config as the controller will build it: with the
-	// effective queue count filled in.
-	h := c.Host
-	h.RxQueues = c.rxQueues()
-	if err := h.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return c.Host.Validate()
 }

@@ -76,10 +76,7 @@ type Stats struct {
 	ConflictStalls uint64
 	PipelineStalls uint64
 	IdleCycles     uint64
-	FaultStalls    uint64 // cycles vetoed by the fault gate (stuck/slowed)
 	SpinLoads      uint64 // lock-spin ll's issued (contention indicator)
-	Loads          uint64
-	Stores         uint64
 	RMWs           uint64
 }
 
@@ -100,10 +97,7 @@ func (s *Stats) Add(o Stats) {
 	s.ConflictStalls += o.ConflictStalls
 	s.PipelineStalls += o.PipelineStalls
 	s.IdleCycles += o.IdleCycles
-	s.FaultStalls += o.FaultStalls
 	s.SpinLoads += o.SpinLoads
-	s.Loads += o.Loads
-	s.Stores += o.Stores
 	s.RMWs += o.RMWs
 }
 
@@ -146,7 +140,7 @@ type Core struct {
 	NextWork func() *Stream
 	// Gate, when non-nil, is consulted every cycle; false vetoes execution
 	// (fault injection: stuck cores execute nothing, slowed cores only on a
-	// subset of cycles). Vetoed cycles count as FaultStalls.
+	// subset of cycles). Vetoed cycles count only toward Cycles.
 	Gate func(cycle uint64) bool
 	// TraceMem, when set, observes every completed scratchpad transaction
 	// (for the Figure 3 coherence traces).
@@ -332,7 +326,6 @@ func (c *Core) Busy() bool { return c.cur != nil }
 func (c *Core) Tick(cycle uint64) {
 	c.Stats.Cycles++
 	if c.Gate != nil && !c.Gate(cycle) {
-		c.Stats.FaultStalls++
 		return
 	}
 
@@ -495,17 +488,13 @@ func (c *Core) execute() {
 			return
 		}
 		c.retire()
-		if op.Kind == OpLoad {
-			c.Stats.Loads++
-		} else {
-			c.Stats.RMWs++
-		}
 		c.countMem()
 		c.memDone = false
 		c.firstWait = true
 		if op.Kind == OpLoad {
 			c.submit(cbLoad, op.Addr, false, op.OnComplete)
 		} else {
+			c.Stats.RMWs++
 			c.submit(cbRMW, op.Addr, true, op.OnComplete)
 		}
 		c.state = stWaitMem
@@ -516,7 +505,6 @@ func (c *Core) execute() {
 			return
 		}
 		c.retire()
-		c.Stats.Stores++
 		c.countMem()
 		c.submit(cbStore, op.Addr, true, op.OnComplete)
 		// Buffered: the core does not wait for the store.
@@ -532,7 +520,6 @@ func (c *Core) execute() {
 			return
 		}
 		c.retire() // the ll
-		c.Stats.Loads++
 		c.Stats.SpinLoads++
 		c.countMem()
 		c.memDone = false
@@ -547,7 +534,6 @@ func (c *Core) execute() {
 			return
 		}
 		c.retire()
-		c.Stats.Stores++
 		c.countMem()
 		c.submit(cbUnlock, op.Addr, true, op.OnComplete)
 		c.finishOp(op)
@@ -558,7 +544,6 @@ func (c *Core) execute() {
 // conditional. Called from the fetch path via lockPhase.
 func (c *Core) issueSC(op *Op) {
 	c.retire() // the sc
-	c.Stats.Stores++
 	c.countMem()
 	c.memDone = false
 	c.firstWait = true

@@ -210,7 +210,6 @@ type Firmware struct {
 	// Statistics.
 	Events      [numEvTypes]stats.Counter
 	TxCommitted stats.Counter
-	RxDelivered stats.Counter
 	// OnTransmit observes transmitted frames (order validation).
 	OnTransmit func(f *host.Frame)
 	// Obs, when non-nil, receives per-frame lifecycle stage events. All
@@ -1155,7 +1154,6 @@ func (fw *Firmware) commitCleared(send bool, rq *rxQueue, k int) {
 			}
 			rq.ring[rq.commitHead%uint64(rq.flagBits)] = nil
 			rq.commitHead++
-			fw.RxDelivered.Inc()
 			fw.hst.DeliverFrame(fr.f, rq.q)
 			rq.doneQ = append(rq.doneQ, fr)
 			fw.Obs.FrameStageQ(obs.Recv, obs.RecvDelivered, fr.idx, rq.q)

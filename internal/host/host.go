@@ -101,18 +101,13 @@ type Config struct {
 	RecvRing int
 	// PostBatch bounds descriptors posted per driver tick.
 	PostBatch int
-	// RxQueues is how many per-core receive rings the driver provisions
-	// (receive-side scaling). Must be at least 1; the paper's single-ring
-	// host is RxQueues 1. Omitted from serialized configurations at zero so
-	// integration layers can treat zero as "unset, default to one ring".
-	RxQueues int `json:",omitempty"`
 }
 
 // DefaultConfig returns a configuration matched to the paper's environment:
 // a ~1 µs DMA round trip at the 133 MHz host interface clock and rings deep
 // enough to cover it ("several hundred outstanding frames").
 func DefaultConfig() Config {
-	return Config{DMALatencyCycles: 133, SendRing: 512, RecvRing: 512, PostBatch: 64, RxQueues: 1}
+	return Config{DMALatencyCycles: 133, SendRing: 512, RecvRing: 512, PostBatch: 64}
 }
 
 // Validate reports the first configuration error, if any.
@@ -128,9 +123,6 @@ func (c Config) Validate() error {
 	}
 	if c.PostBatch <= 0 {
 		return fmt.Errorf("host: post batch must be positive, got %d", c.PostBatch)
-	}
-	if c.RxQueues <= 0 {
-		return fmt.Errorf("host: receive queues must be positive, got %d (use 1 for the single-ring host)", c.RxQueues)
 	}
 	return nil
 }
@@ -150,10 +142,9 @@ type Host struct {
 	head    int
 
 	// Send side.
-	sendBDs       []SendBD // posted, not yet taken by the NIC
-	postedFrames  uint64
-	inFlight      int // frames posted but not completed (ring occupancy)
-	mailboxWrites stats.Counter
+	sendBDs      []SendBD // posted, not yet taken by the NIC
+	postedFrames uint64
+	inFlight     int // frames posted but not completed (ring occupancy)
 
 	// Receive side, one ring per RSS queue (index 0 is the classic single
 	// ring).
@@ -171,7 +162,6 @@ type Host struct {
 	StarvedTicks stats.Counter
 
 	// Delivered traffic accounting and in-order validation.
-	SendCompleted stats.Counter
 	RecvDelivered stats.Counter
 	RecvBytes     stats.Counter // UDP payload bytes delivered to the host
 	RecvOutOfOrd  stats.Counter
@@ -220,18 +210,18 @@ type recvQueue struct {
 	outOfOrd  uint64
 }
 
-// New creates a host model. The configuration must already satisfy Validate;
-// callers building from user input should Validate first and report errors.
-// A zero RxQueues is treated as "unset" and defaults to the single ring, so
-// configurations serialized before RSS existed construct unchanged.
-func New(cfg Config) *Host {
-	if cfg.RxQueues == 0 {
-		cfg.RxQueues = 1
-	}
+// New creates a host model whose driver provisions rxQueues per-core receive
+// rings (receive-side scaling; the paper's single-ring host is 1). The
+// configuration must already satisfy Validate; callers building from user
+// input should Validate first and report errors.
+func New(cfg Config, rxQueues int) *Host {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Host{cfg: cfg, recv: make([]recvQueue, cfg.RxQueues)}
+	if rxQueues <= 0 {
+		panic(fmt.Sprintf("host: receive queues must be positive, got %d (use 1 for the single-ring host)", rxQueues))
+	}
+	return &Host{cfg: cfg, recv: make([]recvQueue, rxQueues)}
 }
 
 // SetStarved halts (true) or resumes (false) the driver, modeling descriptor
@@ -246,7 +236,6 @@ func (h *Host) LoseMailboxWrites(n int) { h.loseMailbox += n }
 
 // mailboxWrite attempts one doorbell; false means the write was lost.
 func (h *Host) mailboxWrite() bool {
-	h.mailboxWrites.Inc()
 	if h.loseMailbox > 0 {
 		h.loseMailbox--
 		h.MailboxLost.Inc()
@@ -384,7 +373,6 @@ func (h *Host) CompleteSend(n int) {
 	if h.inFlight < 0 {
 		panic("host: send completions exceed postings")
 	}
-	h.SendCompleted.Add(uint64(n))
 }
 
 // DeliverFrame hands one received frame to the host on receive queue queue,

@@ -28,7 +28,7 @@ func frames(n int) []*Frame {
 }
 
 func TestDelayFiresAfterLatency(t *testing.T) {
-	h := New(Config{DMALatencyCycles: 5, SendRing: 8, RecvRing: 8, PostBatch: 4})
+	h := New(Config{DMALatencyCycles: 5, SendRing: 8, RecvRing: 8, PostBatch: 4}, 1)
 	fired := -1
 	h.Delay(func() { fired = 0 })
 	for i := 0; i < 10; i++ {
@@ -49,7 +49,7 @@ func TestDelayFiresAfterLatency(t *testing.T) {
 }
 
 func TestDriverPostsTwoBDsPerFrame(t *testing.T) {
-	h := New(Config{DMALatencyCycles: 1, SendRing: 16, RecvRing: 8, PostBatch: 64})
+	h := New(Config{DMALatencyCycles: 1, SendRing: 16, RecvRing: 8, PostBatch: 64}, 1)
 	h.Source = &fakeSource{frames: frames(4)}
 	h.Tick(0)
 	if got := h.PostedSendBDs(); got != 8 {
@@ -71,7 +71,7 @@ func TestDriverPostsTwoBDsPerFrame(t *testing.T) {
 }
 
 func TestSendRingBackpressure(t *testing.T) {
-	h := New(Config{DMALatencyCycles: 1, SendRing: 4, RecvRing: 8, PostBatch: 64})
+	h := New(Config{DMALatencyCycles: 1, SendRing: 4, RecvRing: 8, PostBatch: 64}, 1)
 	h.Source = &fakeSource{frames: frames(10)}
 	h.Tick(0)
 	if got := h.PostedSendBDs(); got != 8 {
@@ -90,7 +90,7 @@ func TestSendRingBackpressure(t *testing.T) {
 }
 
 func TestRecvPoolReplenishment(t *testing.T) {
-	h := New(Config{DMALatencyCycles: 1, SendRing: 4, RecvRing: 16, PostBatch: 64})
+	h := New(Config{DMALatencyCycles: 1, SendRing: 4, RecvRing: 16, PostBatch: 64}, 1)
 	h.Tick(0)
 	if got := h.PostedRecvBDs(0); got != 16 {
 		t.Fatalf("posted recv BDs = %d, want 16", got)
@@ -109,7 +109,7 @@ func TestRecvPoolReplenishment(t *testing.T) {
 }
 
 func TestDeliveryOrderValidation(t *testing.T) {
-	h := New(DefaultConfig())
+	h := New(DefaultConfig(), 1)
 	h.Tick(0)
 	h.TakeRecvBDs(0, 4)
 	h.DeliverFrame(&Frame{Seq: 0}, 0)
@@ -128,32 +128,23 @@ func TestDeliveryOrderValidation(t *testing.T) {
 }
 
 func TestConfigValidateRxQueues(t *testing.T) {
+	if h := New(DefaultConfig(), 1); h.RxQueues() != 1 {
+		t.Errorf("New with one queue built %d queues", h.RxQueues())
+	}
 	for _, n := range []int{0, -1, -8} {
-		cfg := DefaultConfig()
-		cfg.RxQueues = n
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("Validate accepted RxQueues = %d", n)
-		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted %d receive queues", n)
+				}
+			}()
+			New(DefaultConfig(), n)
+		}()
 	}
-	// New treats zero as "unset" for pre-RSS configurations, but explicit
-	// negatives must still panic through Validate.
-	cfg := DefaultConfig()
-	cfg.RxQueues = 0
-	if h := New(cfg); h.RxQueues() != 1 {
-		t.Errorf("New with zero RxQueues built %d queues, want 1", h.RxQueues())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New accepted negative RxQueues")
-		}
-	}()
-	cfg.RxQueues = -2
-	New(cfg)
 }
 
 func TestMultiQueueRingsAreIndependent(t *testing.T) {
-	cfg := Config{DMALatencyCycles: 1, SendRing: 4, RecvRing: 8, PostBatch: 64, RxQueues: 4}
-	h := New(cfg)
+	h := New(Config{DMALatencyCycles: 1, SendRing: 4, RecvRing: 8, PostBatch: 64}, 4)
 	h.Tick(0)
 	for q := 0; q < 4; q++ {
 		if got := h.PostedRecvBDs(q); got != 8 {
@@ -193,7 +184,7 @@ func TestMultiQueueRingsAreIndependent(t *testing.T) {
 }
 
 func TestSingleQueueNeverCountsCrossReorder(t *testing.T) {
-	h := New(DefaultConfig())
+	h := New(DefaultConfig(), 1)
 	h.Tick(0)
 	h.TakeRecvBDs(0, 3)
 	h.DeliverFrame(&Frame{Seq: 2}, 0)
@@ -208,7 +199,7 @@ func TestSingleQueueNeverCountsCrossReorder(t *testing.T) {
 }
 
 func TestCorruptFrameDetected(t *testing.T) {
-	h := New(DefaultConfig())
+	h := New(DefaultConfig(), 1)
 	h.Tick(0)
 	h.TakeRecvBDs(0, 1)
 	h.DeliverFrame(&Frame{Seq: 0, UDPSize: 100, Size: 146, Wire: make([]byte, 146)}, 0)
@@ -218,7 +209,7 @@ func TestCorruptFrameDetected(t *testing.T) {
 }
 
 func TestOverCompletionPanics(t *testing.T) {
-	h := New(DefaultConfig())
+	h := New(DefaultConfig(), 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("CompleteSend beyond postings did not panic")

@@ -45,10 +45,6 @@ type SDRAM struct {
 	WastedBytes   stats.Counter
 	Activations   stats.Counter
 	Busy          stats.Utilization
-	// Latency records per-transfer total cycles (queue + activate + data).
-	Latency *stats.Histogram
-
-	now uint64
 }
 
 // A Transfer is one burst between an assist and the SDRAM.
@@ -57,8 +53,6 @@ type Transfer struct {
 	Len    int
 	Write  bool
 	OnDone func()
-
-	queuedAt uint64
 }
 
 // SDRAMConfig parameterizes the memory device. It serializes inside
@@ -92,7 +86,6 @@ func NewSDRAM(cfg SDRAMConfig) *SDRAM {
 		activateCy: cfg.ActivateCy,
 		queues:     make([][]Transfer, cfg.Ports),
 		qhead:      make([]int, cfg.Ports),
-		Latency:    stats.NewHistogram(4, 8, 16, 27, 64, 128, 256),
 	}
 	for i := range s.openRow {
 		s.openRow[i] = -1
@@ -102,7 +95,6 @@ func NewSDRAM(cfg SDRAMConfig) *SDRAM {
 
 // Enqueue adds a transfer to the given port's queue.
 func (s *SDRAM) Enqueue(port int, t Transfer) {
-	t.queuedAt = s.now
 	s.queues[port] = append(s.queues[port], t)
 }
 
@@ -120,7 +112,6 @@ func alignedLen(addr uint32, n int) int {
 
 // Tick advances the SDRAM and its shared bus by one cycle.
 func (s *SDRAM) Tick(cycle uint64) {
-	s.now = cycle
 	s.Busy.Total.Inc()
 	if !s.active {
 		s.start(cycle)
@@ -133,7 +124,6 @@ func (s *SDRAM) Tick(cycle uint64) {
 	if s.remaining == 0 {
 		t := s.current
 		s.current, s.active = Transfer{}, false
-		s.Latency.Observe(cycle + 1 - t.queuedAt)
 		if t.OnDone != nil {
 			t.OnDone()
 		}
