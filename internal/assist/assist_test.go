@@ -24,15 +24,18 @@ type rig struct {
 	rx    *MACRx
 }
 
-func newRig() *rig {
+func newRig() *rig { return newRigDepth(4) }
+
+// newRigDepth builds the rig with the given DMA pipeline depth.
+func newRigDepth(depth int) *rig {
 	r := &rig{
 		sp:    mem.NewScratchpad(256*1024, 4),
 		xbar:  mem.NewCrossbar(4, 4),
 		sdram: mem.NewSDRAM(mem.DefaultSDRAMConfig()),
 		h:     host.New(host.DefaultConfig(), 1),
 	}
-	r.dmaRd = NewDMARead(NewScratchPort(r.sp, r.xbar, 0, 100), r.sdram, 0, r.h, 0x3_0000, 4)
-	r.dmaWr = NewDMAWrite(NewScratchPort(r.sp, r.xbar, 1, 101), r.sdram, 1, r.h, 0x3_0004, 4)
+	r.dmaRd = NewDMARead(NewScratchPort(r.sp, r.xbar, 0, 100), r.sdram, 0, r.h, 0x3_0000, depth)
+	r.dmaWr = NewDMAWrite(NewScratchPort(r.sp, r.xbar, 1, 101), r.sdram, 1, r.h, 0x3_0004, depth)
 	r.tx = NewMACTx(NewScratchPort(r.sp, r.xbar, 2, 102), r.sdram, 2, 0x3_0008)
 	r.rx = NewMACRx(NewScratchPort(r.sp, r.xbar, 3, 103), r.sdram, 3, 0x3_000c)
 

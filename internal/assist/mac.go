@@ -2,6 +2,7 @@ package assist
 
 import (
 	"repro/internal/ethernet"
+	"repro/internal/fifo"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -38,11 +39,15 @@ type MACTx struct {
 	Obs      *obs.Recorder
 	ObsTrack int32
 
-	queue     []txFrame // committed, not yet fetched
-	staged    []txFrame // fetched into the MAC buffer (max 2)
+	queue fifo.Queue[txFrame] // committed, not yet fetched
+	// staged is the two-frame MAC buffer, a fixed ring: nStaged frames
+	// starting at slot sHead.
+	staged    [2]txFrame
+	sHead     int
+	nStaged   int
 	fetching  bool
 	fetched   txFrame // the frame being fetched while fetching is set
-	fetchDone func()  // pre-bound SDRAM fetch completion
+	fetchDone func()  // m.stage, bound once
 
 	wireRemain int     // bytes left of the frame currently on the wire
 	cur        txFrame // the frame currently on the wire
@@ -57,23 +62,28 @@ type txFrame struct {
 // NewMACTx creates the transmit engine.
 func NewMACTx(port *ScratchPort, sdram *mem.SDRAM, sdramPort int, progressAddr uint32) *MACTx {
 	m := &MACTx{Port: port, sdram: sdram, sdramPort: sdramPort, ProgressAddr: progressAddr}
-	m.fetchDone = func() {
-		m.staged = append(m.staged, m.fetched)
-		m.fetched = txFrame{}
-		m.fetching = false
-	}
+	m.fetchDone = m.stage
 	return m
+}
+
+// stage completes the SDRAM fetch: the fetched frame takes the staging
+// buffer's free slot.
+func (m *MACTx) stage() {
+	m.staged[(m.sHead+m.nStaged)%len(m.staged)] = m.fetched
+	m.nStaged++
+	m.fetched = txFrame{}
+	m.fetching = false
 }
 
 // Send queues one committed frame for transmission.
 func (m *MACTx) Send(bufAddr uint32, size int, handle any) {
-	m.queue = append(m.queue, txFrame{bufAddr: bufAddr, size: size, handle: handle})
+	m.queue.Push(txFrame{bufAddr: bufAddr, size: size, handle: handle})
 }
 
 // Backlog reports frames committed but not yet fully transmitted: queued,
 // being fetched from SDRAM, staged, or partially on the wire.
 func (m *MACTx) Backlog() int {
-	n := len(m.queue) + len(m.staged)
+	n := m.queue.Len() + m.nStaged
 	if m.fetching {
 		n++
 	}
@@ -84,10 +94,11 @@ func (m *MACTx) Backlog() int {
 }
 
 // TickCPU starts SDRAM fetches (double buffered) and pumps the port.
+//
+//nic:hotpath
 func (m *MACTx) TickCPU(cycle uint64) {
-	if !m.fetching && len(m.queue) > 0 && len(m.staged) < 2 {
-		f := m.queue[0]
-		m.queue = m.queue[1:]
+	if !m.fetching && m.queue.Len() > 0 && m.nStaged < len(m.staged) {
+		f := m.queue.Pop()
 		m.fetching = true
 		m.fetched = f
 		m.sdram.Enqueue(m.sdramPort, mem.Transfer{Addr: f.bufAddr, Len: f.size, OnDone: m.fetchDone})
@@ -99,13 +110,17 @@ func (m *MACTx) TickCPU(cycle uint64) {
 func (m *MACTx) Tick(cycle uint64) { m.TickCPU(cycle) }
 
 // TickMAC advances the wire by BytesPerMACCycle.
+//
+//nic:hotpath
 func (m *MACTx) TickMAC(cycle uint64) {
 	if m.wireRemain == 0 {
-		if len(m.staged) == 0 {
+		if m.nStaged == 0 {
 			return
 		}
-		f := m.staged[0]
-		m.staged = m.staged[1:]
+		f := m.staged[m.sHead]
+		m.staged[m.sHead] = txFrame{}
+		m.sHead = (m.sHead + 1) % len(m.staged)
+		m.nStaged--
 		m.wireRemain = f.size + wireOverhead
 		m.cur = f
 		m.Obs.Begin(m.ObsTrack, "tx frame")
@@ -199,7 +214,11 @@ type MACRx struct {
 	wireRemain int
 	curSize    int
 	curHandle  any
-	staged     int // frames in the staging buffer awaiting SDRAM write
+	// staged holds the frames in the staging buffer awaiting their SDRAM
+	// write, oldest first; the MACRx SDRAM port is FIFO, so each write
+	// completion (written, bound once) belongs to the head.
+	staged  fifo.Queue[rxStaged]
+	written func()
 
 	RxFrames     stats.Counter
 	Drops        stats.Counter
@@ -220,14 +239,34 @@ const (
 	RxFaultCorrupt
 )
 
+// rxStaged is one accepted frame awaiting its SDRAM write.
+type rxStaged struct {
+	addr   uint32
+	size   int
+	handle any
+	queue  int
+}
+
 // NewMACRx creates the receive engine.
 func NewMACRx(port *ScratchPort, sdram *mem.SDRAM, sdramPort int, progressAddr uint32) *MACRx {
-	return &MACRx{Port: port, sdram: sdram, sdramPort: sdramPort, ProgressAddr: progressAddr}
+	m := &MACRx{Port: port, sdram: sdram, sdramPort: sdramPort, ProgressAddr: progressAddr}
+	m.written = m.frameWritten
+	return m
 }
 
 // Staged reports frames sitting in the staging buffer awaiting their SDRAM
 // write (accepted but not yet delivered to firmware); for invariant checks.
-func (m *MACRx) Staged() int { return m.staged }
+func (m *MACRx) Staged() int { return m.staged.Len() }
+
+// frameWritten completes the oldest staged frame's SDRAM write: it leaves
+// the staging buffer, the progress pointer advances, and firmware sees it.
+func (m *MACRx) frameWritten() {
+	f := m.staged.Pop()
+	m.Port.Write(m.ProgressAddr, nil)
+	if m.OnReceive != nil {
+		m.OnReceive(f.addr, f.size, f.handle, f.queue)
+	}
+}
 
 // TickCPU pumps the scratchpad port.
 func (m *MACRx) TickCPU(cycle uint64) { m.Port.Tick(cycle) }
@@ -279,7 +318,7 @@ func (m *MACRx) frameArrived(size int, handle any) {
 	// sits: malformed frames never consume a hash, and buffer-exhaustion
 	// drops are attributed to the queue the frame would have landed on.
 	q := m.queueFor(handle)
-	if m.staged >= 2 || m.Alloc == nil {
+	if m.staged.Len() >= 2 || m.Alloc == nil {
 		m.dropQ(q)
 		return
 	}
@@ -288,7 +327,7 @@ func (m *MACRx) frameArrived(size int, handle any) {
 		m.dropQ(q)
 		return
 	}
-	m.staged++
+	m.staged.Push(rxStaged{addr: addr, size: size, handle: handle, queue: q})
 	m.RxFrames.Inc()
 	if q < len(m.QueueFrames) {
 		m.QueueFrames[q].Inc()
@@ -298,16 +337,7 @@ func (m *MACRx) frameArrived(size int, handle any) {
 	// and acquire firmware indices in this order, so the origin FIFO pairing
 	// in the recorder is exact.
 	m.Obs.FrameOrigin(obs.Recv)
-	m.sdram.Enqueue(m.sdramPort, mem.Transfer{
-		Addr: addr, Len: size, Write: true,
-		OnDone: func() {
-			m.staged--
-			m.Port.Write(m.ProgressAddr, nil)
-			if m.OnReceive != nil {
-				m.OnReceive(addr, size, handle, q)
-			}
-		},
-	})
+	m.sdram.Enqueue(m.sdramPort, mem.Transfer{Addr: addr, Len: size, Write: true, OnDone: m.written})
 }
 
 // queueFor steers one admitted frame: hash the flow identity the handle

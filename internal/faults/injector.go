@@ -81,6 +81,10 @@ type Injector struct {
 	stuck     []bool
 	slowEvery []uint64
 
+	// The recovery pump's next scan instant, and pump bound once.
+	pumpAt sim.Picoseconds
+	pumpFn func()
+
 	// Trace, when non-nil, observes each plan event as it fires (by name).
 	// The scheduled closures consult it lazily, so it may be bound any time
 	// before the engine runs, including after Arm.
@@ -182,14 +186,15 @@ func (in *Injector) Arm(dom *sim.Domain, tgt Target) {
 	}
 	// Recovery pump: periodic firmware timeout/retry scans, themselves an
 	// event-domain activity so retry timing is exact and clock-independent.
-	var pump func(at sim.Picoseconds) func()
-	pump = func(at sim.Picoseconds) func() {
-		return func() {
-			tgt.RecoveryScan()
-			dom.Schedule(at+scanInterval, pump(at+scanInterval))
-		}
-	}
-	dom.Schedule(scanInterval, pump(scanInterval))
+	in.pumpAt, in.pumpFn = scanInterval, in.pump
+	dom.Schedule(in.pumpAt, in.pumpFn)
+}
+
+// pump runs one recovery scan and schedules the next.
+func (in *Injector) pump() {
+	in.tgt.RecoveryScan()
+	in.pumpAt += scanInterval
+	in.dom.Schedule(in.pumpAt, in.pumpFn)
 }
 
 // scheduleTakeover attempts a stuck-core takeover, retrying while the core

@@ -8,11 +8,9 @@ import (
 
 // builderAllocs is the pinned heap-object count of building one dispatch
 // stream and one software-only poll stream into a recycled stream with a
-// warm memo: the poll's flag-scan list, which outgrows its one-entry literal
-// when it adds the receive queue. No op buffer, stream, builder or hazard
-// generator is among them. Lower the pin when a change removes that
-// allocation; a rise fails the test.
-const builderAllocs = 1
+// warm memo. No op buffer, stream, builder, hazard generator or flag-scan
+// list is allocated, so there are none; a rise fails the test.
+const builderAllocs = 0
 
 func TestBuilderAllocsPinned(t *testing.T) {
 	fw := &Firmware{

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/assist"
 	"repro/internal/cpu"
+	"repro/internal/fifo"
 	"repro/internal/host"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -90,23 +91,6 @@ func (r *slotRing) release(slot int) { r.free = append(r.free, slot) }
 
 func (r *slotRing) available() int { return len(r.free) }
 
-type sendFrame struct {
-	f    *host.Frame
-	idx  uint64
-	buf  uint32
-	slot int
-}
-
-type recvFrame struct {
-	f    *host.Frame
-	idx  uint64 // global arrival index (observation, descriptor addressing)
-	q    int    // RSS queue the MAC steered the frame to
-	qidx uint64 // per-queue index (status flag and ring position)
-	buf  uint32
-	slot int
-	size int
-}
-
 // rxQueue is one receive queue's independent pipeline: its own arrival and
 // completion queues, BD credit, status-flag subarray, and in-order commit
 // head. A single-queue build has exactly one, whose flag array is the whole
@@ -118,16 +102,20 @@ type rxQueue struct {
 	flagBase uint32
 	flags    *mem.BitArray
 
-	arrivedQ    []*recvFrame
+	arrivedQ    fifo.Queue[*recvFrame]
 	bdCredit    int
 	bdFetchOut  int
-	dmaDone     []*recvFrame
+	dmaDone     fifo.Queue[*recvFrame]
 	ring        []*recvFrame
 	set         uint64
 	commitHead  uint64
 	commitClaim bool
-	doneQ       []*recvFrame
+	commitDone  func() // releaseCommit, bound once
+	doneQ       fifo.Queue[*recvFrame]
 }
+
+// releaseCommit ends the queue's commit stream, allowing the next claim.
+func (rq *rxQueue) releaseCommit() { rq.commitClaim = false }
 
 // bdEntries is the queue's share of the RegionRecvBD descriptor ring.
 func (rq *rxQueue) bdEntries(nq int) uint32 { return 2048 / uint32(nq) }
@@ -156,13 +144,14 @@ type Firmware struct {
 	sendSeq         uint64
 	bdFetchOut      int
 	txReserved      int
-	prepQ           []*sendFrame
-	sendDMADone     []*sendFrame
+	prepQ           fifo.Queue[*sendFrame]
+	sendDMADone     fifo.Queue[*sendFrame]
 	sendRing        []*sendFrame
 	sendSet         uint64 // flags set
 	sendCommitHead  uint64
 	sendCommitClaim bool
-	txDoneQ         []*sendFrame
+	sendCommitDone  func() // releaseSendCommit, bound once
+	txDoneQ         fifo.Queue[*sendFrame]
 
 	// Receive pipeline: a global arrival counter (frame identity for
 	// observation and conservation audits) plus one independent rxQueue per
@@ -188,7 +177,7 @@ type Firmware struct {
 	rec *recovery
 	// orphans holds streams rescued from preempted cores, re-dispatched to
 	// any core ahead of new claims.
-	orphans []*cpu.Stream
+	orphans fifo.Queue[*cpu.Stream]
 	// Takeovers counts stuck-core takeovers; Rescued the streams they
 	// re-dispatched; FlagRepairs the ordering-state fixes they applied.
 	Takeovers   uint64
@@ -196,10 +185,29 @@ type Firmware struct {
 	FlagRepairs uint64
 
 	// Per-core continuation queues (segments of the current event).
-	cont [][]*cpu.Stream
+	cont []fifo.Queue[*cpu.Stream]
 
-	// Task-parallel event register: one core per event type.
-	typeBusy [numEvTypes]bool
+	// Free lists of recycled records. They belong to this firmware, never
+	// to the process: a sweep runs many NICs concurrently. They grow
+	// lazily to the run's peak occupancy.
+	sendFree  []*sendFrame
+	recvFree  []*recvFrame
+	eventFree []*event
+
+	// Scratch slices reused by every claim's stream build: descriptor
+	// address lists and the frames an ordering set covers. Builds run one
+	// at a time and consume these before returning.
+	bases, odds, shifted []uint32
+	sendTmp              []*sendFrame
+	recvTmp              []*recvFrame
+
+	// Task-parallel event register: one core per event type. A busy
+	// type's final stream ends with release[g], bound once per type, which
+	// runs that stream's own OnDone (held in releasePrev[g]) and frees the
+	// type; one event per type is in flight, so one slot per type suffices.
+	typeBusy    [numEvTypes]bool
+	release     [numEvTypes]func()
+	releasePrev [numEvTypes]func()
 
 	evSeq   uint64
 	seedCtr int64
@@ -236,9 +244,10 @@ func New(prof Profile, sp *mem.Scratchpad, hst *host.Host, as Assists, nCores in
 		txRing:    newSlotRing(0x000000, slotBytes, txSlots),
 		rxRing:    newSlotRing(0x800000, slotBytes, rxSlots),
 		sendRing:  make([]*sendFrame, FlagBits),
-		cont:      make([][]*cpu.Stream, nCores),
+		cont:      make([]fifo.Queue[*cpu.Stream], nCores),
 		nCores:    nCores,
 	}
+	fw.sendCommitDone = fw.releaseSendCommit
 	// One receive pipeline per host receive queue. The status-flag region is
 	// subdivided evenly: with one queue the subarray is the entire legacy
 	// FlagsRecv array, so the seed build's flag addresses are unchanged.
@@ -252,6 +261,7 @@ func New(prof Profile, sp *mem.Scratchpad, hst *host.Host, as Assists, nCores in
 			ring:     make([]*recvFrame, bits),
 		}
 		rq.flags = mem.NewBitArray(sp, rq.flagBase, bits)
+		rq.commitDone = rq.releaseCommit
 		fw.rxq = append(fw.rxq, rq)
 	}
 	as.MACRx.Alloc = func(size int, handle any) (uint32, bool) {
@@ -263,17 +273,18 @@ func New(prof Profile, sp *mem.Scratchpad, hst *host.Host, as Assists, nCores in
 	}
 	as.MACRx.OnReceive = func(buf uint32, size int, handle any, queue int) {
 		rq := fw.rxq[queue]
-		fr := &recvFrame{f: handle.(*host.Frame), idx: fw.recvSeq, q: queue, qidx: rq.seq, buf: buf, size: size}
+		fr := fw.newRecvFrame()
+		fr.f, fr.idx, fr.q, fr.qidx, fr.buf, fr.size = handle.(*host.Frame), fw.recvSeq, queue, rq.seq, buf, size
 		fw.recvSeq++
 		rq.seq++
 		rq.ring[fr.qidx%uint64(rq.flagBits)] = fr
 		fr.slot = int((buf - fw.rxRing.base) / fw.rxRing.slotSize)
-		rq.arrivedQ = append(rq.arrivedQ, fr)
+		rq.arrivedQ.Push(fr)
 		fw.Obs.FrameStageQ(obs.Recv, obs.RecvBuffered, fr.idx, fr.q)
 	}
 	as.MACTx.OnTransmit = func(handle any) {
 		fr := handle.(*sendFrame)
-		fw.txDoneQ = append(fw.txDoneQ, fr)
+		fw.txDoneQ.Push(fr)
 		fw.Obs.FrameStage(obs.Send, obs.SendWireDone, fr.idx)
 		if fw.OnTransmit != nil {
 			fw.OnTransmit(fr.f)
@@ -302,17 +313,13 @@ func (fw *Firmware) NextWorkFor(coreID int) func() *cpu.Stream {
 // nextWork picks the next stream for a core: continuations of the current
 // event first, then new events by priority, then an idle poll pass.
 func (fw *Firmware) nextWork(coreID int) *cpu.Stream {
-	if q := fw.cont[coreID]; len(q) > 0 {
-		s := q[0]
-		fw.cont[coreID] = q[1:]
-		return s
+	if q := &fw.cont[coreID]; q.Len() > 0 {
+		return q.Pop()
 	}
 	// Streams rescued from a preempted core run before any new claim so a
 	// takeover cannot reorder work that was already dispatched.
-	if len(fw.orphans) > 0 {
-		s := fw.orphans[0]
-		fw.orphans = fw.orphans[1:]
-		return s
+	if fw.orphans.Len() > 0 {
+		return fw.orphans.Pop()
 	}
 	// Commits always go first (they unblock both pipelines and are cheap);
 	// the remaining claims rotate round-robin so neither direction starves
@@ -390,16 +397,25 @@ var eventGroup = [numEvTypes]evType{
 // segment finishes.
 func (fw *Firmware) markRelease(coreID int, g evType, first *cpu.Stream) {
 	last := first
-	if q := fw.cont[coreID]; len(q) > 0 {
-		last = q[len(q)-1]
+	if q := &fw.cont[coreID]; q.Len() > 0 {
+		last = q.At(q.Len() - 1)
 	}
-	prev := last.OnDone
-	last.OnDone = func() {
-		if prev != nil {
-			prev()
-		}
-		fw.typeBusy[g] = false
+	if fw.release[g] == nil {
+		fw.release[g] = func() { fw.releaseType(g) }
 	}
+	fw.releasePrev[g] = last.OnDone
+	last.OnDone = fw.release[g]
+}
+
+// releaseType ends a task-parallel event: the final stream's own
+// completion runs, then the type is free to claim again.
+func (fw *Firmware) releaseType(g evType) {
+	prev := fw.releasePrev[g]
+	fw.releasePrev[g] = nil
+	if prev != nil {
+		prev()
+	}
+	fw.typeBusy[g] = false
 }
 
 // batch limits per-event frame counts; the task-parallel baseline processes
@@ -457,21 +473,24 @@ func desc(idx uint64, stage uint32) uint32 {
 }
 
 // odd selects the odd-index bases (the writable per-frame descriptors from
-// interleaved BD/descriptor base lists).
-func odd(bases []uint32) []uint32 {
-	var out []uint32
+// interleaved BD/descriptor base lists) into the firmware's scratch slice.
+func (fw *Firmware) odd(bases []uint32) []uint32 {
+	out := fw.odds[:0]
 	for i := 1; i < len(bases); i += 2 {
 		out = append(out, bases[i])
 	}
+	fw.odds = out
 	return out
 }
 
-// offset shifts every base by off bytes (stage-private store sub-blocks).
-func offset(bases []uint32, off uint32) []uint32 {
-	out := make([]uint32, len(bases))
-	for i, b := range bases {
-		out[i] = b + off
+// offset shifts every base by off bytes (stage-private store sub-blocks)
+// into the firmware's scratch slice.
+func (fw *Firmware) offset(bases []uint32, off uint32) []uint32 {
+	out := fw.shifted[:0]
+	for _, b := range bases {
+		out = append(out, b+off)
 	}
+	fw.shifted = out
 	return out
 }
 
@@ -511,42 +530,35 @@ func (fw *Firmware) pollStream(coreID int) *cpu.Stream {
 	b := fw.newBuilder()
 	b.cost(fw.Prof.PollPass, addrCycle(PtrMailbox, PtrDMARead, PtrDMAWrite, PtrMACTx, PtrMACRx, PtrRecvBDPool))
 	if fw.Prof.Ordering == SoftwareOnly {
-		scans := []struct {
-			lock uint32
-			base uint32
-			head uint64
-			bits uint64
-		}{
-			{LockSendOrd, FlagsSend, fw.sendCommitHead, FlagBits},
-		}
+		b.scanFlags(LockSendOrd, FlagsSend, fw.sendCommitHead, FlagBits)
 		// Every receive queue's flag subarray is scanned under its own
 		// ordering lock — the per-queue share of the "synchronized, looping
 		// memory accesses" the dispatch loop pays in software-only mode.
 		for _, rq := range fw.rxq {
-			scans = append(scans, struct {
-				lock uint32
-				base uint32
-				head uint64
-				bits uint64
-			}{LockRecvOrdQ(rq.q), rq.flagBase, rq.commitHead, uint64(rq.flagBits)})
-		}
-		for _, d := range scans {
-			word := d.base + uint32((d.head%d.bits)/32)*4
-			b.lock(d.lock, nil)
-			b.alu(3)
-			b.load(word)
-			b.alu(3)
-			b.load(word + 4)
-			b.alu(2)
-			b.unlock(d.lock, nil)
+			b.scanFlags(LockRecvOrdQ(rq.q), rq.flagBase, rq.commitHead, uint64(rq.flagBits))
 		}
 	}
 	return b.build("poll", codeDispatchBase, fw.Prof.CodeDispatch, AcctIdle, nil)
 }
 
+// scanFlags appends one poll pass's look at a flag array: the two words at
+// the commit head, read under the array's ordering lock.
+func (b *streamBuilder) scanFlags(lock, base uint32, head, bits uint64) {
+	word := base + uint32((head%bits)/32)*4
+	b.lock(lock, nil)
+	b.alu(3)
+	b.load(word)
+	b.alu(3)
+	b.load(word + 4)
+	b.alu(2)
+	b.unlock(lock, nil)
+}
+
 // chain returns the first stream and queues the rest as continuations.
 func (fw *Firmware) chain(coreID int, streams ...*cpu.Stream) *cpu.Stream {
-	fw.cont[coreID] = append(fw.cont[coreID], streams[1:]...)
+	for _, s := range streams[1:] {
+		fw.cont[coreID].Push(s)
+	}
 	return streams[0]
 }
 
@@ -557,7 +569,7 @@ func (fw *Firmware) chain(coreID int, streams ...*cpu.Stream) *cpu.Stream {
 // claimFetchSendBD starts a send-descriptor batch fetch: the paper's "Fetch
 // Send BD" task, one DMA of up to 32 descriptors (16 frames).
 func (fw *Firmware) claimFetchSendBD(coreID int) *cpu.Stream {
-	if fw.bdFetchOut >= 2 || fw.hst.PostedSendBDs() < 2 || len(fw.prepQ) > 256 {
+	if fw.bdFetchOut >= 2 || fw.hst.PostedSendBDs() < 2 || fw.prepQ.Len() > 256 {
 		return nil
 	}
 	nBDs := fw.hst.PostedSendBDs()
@@ -570,30 +582,17 @@ func (fw *Firmware) claimFetchSendBD(coreID int) *cpu.Stream {
 	}
 	fw.bdFetchOut++
 
+	ev := fw.newEvent(evFetchSendBD, nil)
+	ev.n = nBDs
+	ev.base = RegionSendBD + uint32(fw.sendSeq%2048)*16
 	b := fw.newBuilder()
-	base := RegionSendBD + uint32(fw.sendSeq%2048)*16
+	base := ev.base
 	b.cost(fw.Prof.FetchSendBDBatch.scale(float64(nBDs)/SendBDsPerBatch), addrCycle(base, base+16, base+32))
 	b.lock(LockSendBD, nil)
 	b.alu(4)
 	b.store(base)
 	b.unlock(LockSendBD, nil)
-	b.then(func() {
-		fire := func() {
-			bds := fw.hst.TakeSendBDs(nBDs)
-			for i := 0; i+1 < len(bds); i += 2 {
-				fr := &sendFrame{f: bds[i].Frame, idx: fw.sendSeq}
-				fw.sendSeq++
-				fw.sendRing[fr.idx%FlagBits] = fr
-				fw.prepQ = append(fw.prepQ, fr)
-				fw.Obs.FrameStage(obs.Send, obs.SendBDFetched, fr.idx)
-			}
-			fw.bdFetchOut--
-		}
-		issue := func(onDone func()) {
-			fw.as.DMARead.FetchBDs(nBDs*SendBDWords, base, onDone)
-		}
-		issue(fw.expect("fetch-send-bd", issue, fire))
-	})
+	b.then(ev.apply)
 	work := b.build("fetch-send-bd", codeFetchBDBase, fw.Prof.CodeFetchBD, AcctFetchSendBD, nil)
 	return fw.chain(coreID, fw.dispatchStream(AcctSendOrder), work)
 }
@@ -601,10 +600,10 @@ func (fw *Firmware) claimFetchSendBD(coreID int) *cpu.Stream {
 // claimSendPrep processes fetched descriptors: reads BDs, allocates transmit
 // buffer space, and programs the DMA read engine — "Send Frame" part one.
 func (fw *Firmware) claimSendPrep(coreID int) *cpu.Stream {
-	if len(fw.prepQ) == 0 {
+	if fw.prepQ.Len() == 0 {
 		return nil
 	}
-	n := fw.batch(len(fw.prepQ))
+	n := fw.batch(fw.prepQ.Len())
 	if free := fw.txRing.available() - fw.txReserved; free < n {
 		n = free
 	}
@@ -612,18 +611,19 @@ func (fw *Firmware) claimSendPrep(coreID int) *cpu.Stream {
 		return nil
 	}
 	fw.txReserved += n
-	frames := append([]*sendFrame(nil), fw.prepQ[:n]...)
-	fw.prepQ = fw.prepQ[n:]
+	ev := fw.newEvent(evSendPrep, nil)
+	ev.send = fw.prepQ.PopTo(ev.send, n)
 	fw.claimedSend += n
 
 	b := fw.newBuilder()
-	bases := make([]uint32, 0, 2*n)
-	for _, fr := range frames {
+	bases := fw.bases[:0]
+	for _, fr := range ev.send {
 		bases = append(bases,
 			RegionSendBD+uint32(fr.idx%2048)*16,
 			RegionSendDesc+desc(fr.idx, DescStagePrep))
 	}
-	b.cost2(fw.Prof.SendFramePrep.scale(float64(n)), addrWalk(bases...), addrWalk(odd(bases)...))
+	fw.bases = bases
+	b.cost2(fw.Prof.SendFramePrep.scale(float64(n)), addrWalk(bases...), addrWalk(fw.odd(bases)...))
 	// Transmit-buffer allocation: the lock is held across the per-frame
 	// allocation loop, as in the Tigon-derived firmware, so concurrent
 	// send-prepare events on other cores serialize here.
@@ -634,29 +634,7 @@ func (fw *Firmware) claimSendPrep(coreID int) *cpu.Stream {
 		b.store(bases[i%len(bases)])
 	}
 	b.unlock(LockTxAlloc, nil)
-	b.then(func() {
-		fw.txReserved -= len(frames)
-		fw.claimedSend -= len(frames)
-		for _, fr := range frames {
-			addr, slot, ok := fw.txRing.alloc()
-			if !ok {
-				panic("firmware: tx ring underflow despite reservation")
-			}
-			fr.buf, fr.slot = addr, slot
-			f := fr
-			fw.dmaOutSend++
-			fire := func() {
-				fw.dmaOutSend--
-				fw.sendDMADone = append(fw.sendDMADone, f)
-				fw.Obs.FrameStage(obs.Send, obs.SendDMADone, f.idx)
-			}
-			issue := func(onDone func()) {
-				fw.as.DMARead.FetchFrame(addr, host.HeaderBytes, f.f.Size-host.HeaderBytes, onDone)
-			}
-			issue(fw.expect("send-frame-dma", issue, fire))
-			fw.Obs.FrameStage(obs.Send, obs.SendDMAStart, f.idx)
-		}
-	})
+	b.then(ev.apply)
 	work := b.build("send-prep", codeSendBase, fw.Prof.CodeSendFrame, AcctSendFrame, nil)
 	return fw.chain(coreID, fw.dispatchStream(AcctSendOrder), work)
 }
@@ -664,20 +642,21 @@ func (fw *Firmware) claimSendPrep(coreID int) *cpu.Stream {
 // claimSendDone processes frame-DMA completions and marks each frame's
 // status flag — "Send Frame" part two plus the ordering set.
 func (fw *Firmware) claimSendDone(coreID int) *cpu.Stream {
-	if len(fw.sendDMADone) == 0 {
+	if fw.sendDMADone.Len() == 0 {
 		return nil
 	}
-	n := fw.batch(len(fw.sendDMADone))
-	frames := append([]*sendFrame(nil), fw.sendDMADone[:n]...)
-	fw.sendDMADone = fw.sendDMADone[n:]
+	n := fw.batch(fw.sendDMADone.Len())
+	frames := fw.sendDMADone.PopTo(fw.sendTmp[:0], n)
+	fw.sendTmp = frames
 	fw.ordPendSend += n
 
 	b := fw.newBuilder()
-	bases := make([]uint32, 0, n)
+	bases := fw.bases[:0]
 	for _, fr := range frames {
 		bases = append(bases, RegionSendDesc+desc(fr.idx, DescStageDone))
 	}
-	b.cost2(fw.Prof.SendFrameDone.add(fw.Prof.ExtensionPerFrame).scale(float64(n)), addrWalk(bases...), addrWalk(offset(bases, DescStageDoneStore-DescStageDone)...))
+	fw.bases = bases
+	b.cost2(fw.Prof.SendFrameDone.add(fw.Prof.ExtensionPerFrame).scale(float64(n)), addrWalk(bases...), addrWalk(fw.offset(bases, DescStageDoneStore-DescStageDone)...))
 	work := b.build("send-done", codeSendBase, fw.Prof.CodeSendFrame, AcctSendFrame, nil)
 
 	ord := fw.orderingSetStream(true, frames, nil)
@@ -695,25 +674,29 @@ func (fw *Firmware) claimSendCommit(coreID int) *cpu.Stream {
 		return nil
 	}
 	fw.sendCommitClaim = true
-	return fw.commitStream(coreID, true, nil, ready)
+	return fw.commitStream(coreID, nil, ready)
 }
+
+// releaseSendCommit ends the send commit stream, allowing the next claim.
+func (fw *Firmware) releaseSendCommit() { fw.sendCommitClaim = false }
 
 // claimSendComplete handles transmit completions: frees buffer space and
 // notifies the host — "Send Frame" part three.
 func (fw *Firmware) claimSendComplete(coreID int) *cpu.Stream {
-	if len(fw.txDoneQ) == 0 {
+	if fw.txDoneQ.Len() == 0 {
 		return nil
 	}
-	n := fw.batch(len(fw.txDoneQ))
-	frames := append([]*sendFrame(nil), fw.txDoneQ[:n]...)
-	fw.txDoneQ = fw.txDoneQ[n:]
+	n := fw.batch(fw.txDoneQ.Len())
+	ev := fw.newEvent(evSendComplete, nil)
+	ev.send = fw.txDoneQ.PopTo(ev.send, n)
 
 	b := fw.newBuilder()
-	bases := make([]uint32, 0, n)
-	for _, fr := range frames {
+	bases := fw.bases[:0]
+	for _, fr := range ev.send {
 		bases = append(bases, RegionSendDesc+desc(fr.idx, DescStageComplete))
 	}
-	b.cost2(fw.Prof.SendFrameComplete.scale(float64(n)), addrWalk(bases...), addrWalk(offset(bases, DescStageCompleteStore-DescStageComplete)...))
+	fw.bases = bases
+	b.cost2(fw.Prof.SendFrameComplete.scale(float64(n)), addrWalk(bases...), addrWalk(fw.offset(bases, DescStageCompleteStore-DescStageComplete)...))
 	// Host notification: the consumer-index updates for the batch happen
 	// under one lock hold.
 	b.lock(LockHostNtfy, nil)
@@ -722,13 +705,7 @@ func (fw *Firmware) claimSendComplete(coreID int) *cpu.Stream {
 		b.store(PtrMACTx)
 	}
 	b.unlock(LockHostNtfy, nil)
-	b.then(func() {
-		for _, fr := range frames {
-			fw.txRing.release(fr.slot)
-			fw.Obs.FrameStage(obs.Send, obs.SendNotified, fr.idx)
-		}
-		fw.hst.CompleteSend(len(frames))
-	})
+	b.then(ev.apply)
 	work := b.build("send-complete", codeSendBase, fw.Prof.CodeSendFrame, AcctSendFrame, nil)
 	return fw.chain(coreID, fw.dispatchStream(AcctSendOrder), work)
 }
@@ -768,23 +745,17 @@ func (fw *Firmware) claimFetchRecvBD(coreID int) *cpu.Stream {
 		}
 		rq.bdFetchOut++
 
+		ev := fw.newEvent(evFetchRecvBD, rq)
+		ev.n = n
+		ev.base = rq.bdAddr(len(fw.rxq), rq.seq)
 		b := fw.newBuilder()
-		base := rq.bdAddr(len(fw.rxq), rq.seq)
+		base := ev.base
 		b.cost(fw.Prof.FetchRecvBDBatch.scale(float64(n)/RecvBDsPerBatch), addrCycle(base, base+16))
 		b.lock(LockRecvBDQ(rq.q), nil)
 		b.alu(4)
 		b.store(base)
 		b.unlock(LockRecvBDQ(rq.q), nil)
-		b.then(func() {
-			fire := func() {
-				rq.bdCredit += fw.hst.TakeRecvBDs(rq.q, n)
-				rq.bdFetchOut--
-			}
-			issue := func(onDone func()) {
-				fw.as.DMARead.FetchBDs(n*RecvBDWords, base, onDone)
-			}
-			issue(fw.expect("fetch-recv-bd", issue, fire))
-		})
+		b.then(ev.apply)
 		work := b.build("fetch-recv-bd", codeFetchBDBase, fw.Prof.CodeFetchBD, AcctFetchRecvBD, nil)
 		return fw.chain(coreID, fw.dispatchStream(AcctRecvOrder), work)
 	})
@@ -794,26 +765,27 @@ func (fw *Firmware) claimFetchRecvBD(coreID int) *cpu.Stream {
 // programs the DMA write engine — "Receive Frame" part one.
 func (fw *Firmware) claimRecvPrep(coreID int) *cpu.Stream {
 	return fw.eachRxQueue(1, func(rq *rxQueue) *cpu.Stream {
-		if len(rq.arrivedQ) == 0 || rq.bdCredit == 0 {
+		if rq.arrivedQ.Len() == 0 || rq.bdCredit == 0 {
 			return nil
 		}
-		n := fw.batch(len(rq.arrivedQ))
+		n := fw.batch(rq.arrivedQ.Len())
 		if n > rq.bdCredit {
 			n = rq.bdCredit
 		}
-		frames := append([]*recvFrame(nil), rq.arrivedQ[:n]...)
-		rq.arrivedQ = rq.arrivedQ[n:]
+		ev := fw.newEvent(evRecvPrep, rq)
+		ev.recv = rq.arrivedQ.PopTo(ev.recv, n)
 		rq.bdCredit -= n
 		fw.claimedRecv += n
 
 		b := fw.newBuilder()
-		bases := make([]uint32, 0, 2*n)
-		for _, fr := range frames {
+		bases := fw.bases[:0]
+		for _, fr := range ev.recv {
 			bases = append(bases,
 				rq.bdAddr(len(fw.rxq), fr.qidx),
 				RegionRecvDesc+desc(fr.idx, DescStagePrep))
 		}
-		b.cost2(fw.Prof.RecvFramePrep.scale(float64(n)), addrWalk(bases...), addrWalk(odd(bases)...))
+		fw.bases = bases
+		b.cost2(fw.Prof.RecvFramePrep.scale(float64(n)), addrWalk(bases...), addrWalk(fw.odd(bases)...))
 		// Receive-buffer pool bookkeeping holds the queue's pool lock across
 		// the per-frame matching loop. The paper singles this lock out:
 		// contention on "a lock in the receive path" limits the RMW-enhanced
@@ -826,24 +798,7 @@ func (fw *Firmware) claimRecvPrep(coreID int) *cpu.Stream {
 			b.store(bases[i%len(bases)])
 		}
 		b.unlock(LockRxPoolQ(rq.q), nil)
-		b.then(func() {
-			fw.claimedRecv -= len(frames)
-			for _, fr := range frames {
-				f := fr
-				fw.dmaOutRecv++
-				fw.as.DMAWrite.WriteFrame(f.buf, f.size, nil)
-				fire := func() {
-					fw.dmaOutRecv--
-					rq.dmaDone = append(rq.dmaDone, f)
-					fw.Obs.FrameStage(obs.Recv, obs.RecvDMADone, f.idx)
-				}
-				issue := func(onDone func()) {
-					fw.as.DMAWrite.WriteDescriptor(RegionRecvDesc+desc(f.idx, DescDMA), RecvBDWords, onDone)
-				}
-				issue(fw.expect("recv-desc-dma", issue, fire))
-				fw.Obs.FrameStage(obs.Recv, obs.RecvDMAStart, f.idx)
-			}
-		})
+		b.then(ev.apply)
 		work := b.build("recv-prep", codeRecvBase, fw.Prof.CodeRecvFrame, AcctRecvFrame, nil)
 		return fw.chain(coreID, fw.dispatchStream(AcctRecvOrder), work)
 	})
@@ -853,20 +808,21 @@ func (fw *Firmware) claimRecvPrep(coreID int) *cpu.Stream {
 // status flags — "Receive Frame" part two plus the ordering set.
 func (fw *Firmware) claimRecvDone(coreID int) *cpu.Stream {
 	return fw.eachRxQueue(2, func(rq *rxQueue) *cpu.Stream {
-		if len(rq.dmaDone) == 0 {
+		if rq.dmaDone.Len() == 0 {
 			return nil
 		}
-		n := fw.batch(len(rq.dmaDone))
-		frames := append([]*recvFrame(nil), rq.dmaDone[:n]...)
-		rq.dmaDone = rq.dmaDone[n:]
+		n := fw.batch(rq.dmaDone.Len())
+		frames := rq.dmaDone.PopTo(fw.recvTmp[:0], n)
+		fw.recvTmp = frames
 		fw.ordPendRecv += n
 
 		b := fw.newBuilder()
-		bases := make([]uint32, 0, n)
+		bases := fw.bases[:0]
 		for _, fr := range frames {
 			bases = append(bases, RegionRecvDesc+desc(fr.idx, DescStageDone))
 		}
-		b.cost2(fw.Prof.RecvFrameDone.add(fw.Prof.ExtensionPerFrame).scale(float64(n)), addrWalk(bases...), addrWalk(offset(bases, DescStageDoneStore-DescStageDone)...))
+		fw.bases = bases
+		b.cost2(fw.Prof.RecvFrameDone.add(fw.Prof.ExtensionPerFrame).scale(float64(n)), addrWalk(bases...), addrWalk(fw.offset(bases, DescStageDoneStore-DescStageDone)...))
 		work := b.build("recv-done", codeRecvBase, fw.Prof.CodeRecvFrame, AcctRecvFrame, nil)
 
 		ord := fw.orderingSetStream(false, nil, frames)
@@ -887,7 +843,7 @@ func (fw *Firmware) claimRecvCommit(coreID int) *cpu.Stream {
 			return nil
 		}
 		rq.commitClaim = true
-		return fw.commitStream(coreID, false, rq, ready)
+		return fw.commitStream(coreID, rq, ready)
 	})
 }
 
@@ -895,30 +851,27 @@ func (fw *Firmware) claimRecvCommit(coreID int) *cpu.Stream {
 // "Receive Frame" part three.
 func (fw *Firmware) claimRecvComplete(coreID int) *cpu.Stream {
 	return fw.eachRxQueue(4, func(rq *rxQueue) *cpu.Stream {
-		if len(rq.doneQ) == 0 {
+		if rq.doneQ.Len() == 0 {
 			return nil
 		}
-		n := fw.batch(len(rq.doneQ))
-		frames := append([]*recvFrame(nil), rq.doneQ[:n]...)
-		rq.doneQ = rq.doneQ[n:]
+		n := fw.batch(rq.doneQ.Len())
+		ev := fw.newEvent(evRecvComplete, rq)
+		ev.recv = rq.doneQ.PopTo(ev.recv, n)
 
 		b := fw.newBuilder()
-		bases := make([]uint32, 0, n)
-		for _, fr := range frames {
+		bases := fw.bases[:0]
+		for _, fr := range ev.recv {
 			bases = append(bases, RegionRecvDesc+desc(fr.idx, DescStageComplete))
 		}
-		b.cost2(fw.Prof.RecvFrameComplete.scale(float64(n)), addrWalk(bases...), addrWalk(offset(bases, DescStageCompleteStore-DescStageComplete)...))
+		fw.bases = bases
+		b.cost2(fw.Prof.RecvFrameComplete.scale(float64(n)), addrWalk(bases...), addrWalk(fw.offset(bases, DescStageCompleteStore-DescStageComplete)...))
 		b.lock(LockRxPoolQ(rq.q), nil)
 		for i := 0; i < n; i++ {
 			b.alu(3)
 			b.store(PtrRecvBDPoolQ(rq.q))
 		}
 		b.unlock(LockRxPoolQ(rq.q), nil)
-		b.then(func() {
-			for _, fr := range frames {
-				fw.rxRing.release(fr.slot)
-			}
-		})
+		b.then(ev.apply)
 		work := b.build("recv-complete", codeRecvBase, fw.Prof.CodeRecvFrame, AcctRecvFrame, nil)
 		return fw.chain(coreID, fw.dispatchStream(AcctRecvOrder), work)
 	})
@@ -943,17 +896,16 @@ func (fw *Firmware) consecutiveReady(ba *mem.BitArray, head uint64, bits int) in
 // lock-protected read-modify-write sequence in software-only mode, or one
 // atomic set instruction in RMW mode. Exactly one of sf/rf is non-nil, and
 // a receive batch is always frames of a single queue, whose flag subarray
-// and ordering lock the stream targets.
+// and ordering lock the stream targets. Each frame's flag is set by its
+// record's pre-bound completion.
 func (fw *Firmware) orderingSetStream(send bool, sf []*sendFrame, rf []*recvFrame) *cpu.Stream {
 	var rq *rxQueue
-	flags := fw.sendFlags
 	lockAddr := uint32(LockSendOrd)
 	acct := AcctSendOrder
 	flagBase := uint32(FlagsSend)
 	flagBits := uint64(FlagBits)
 	if !send {
 		rq = fw.rxq[rf[0].q]
-		flags = rq.flags
 		lockAddr = LockRecvOrdQ(rq.q)
 		acct = AcctRecvOrder
 		flagBase = rq.flagBase
@@ -969,17 +921,11 @@ func (fw *Firmware) orderingSetStream(send bool, sf []*sendFrame, rf []*recvFram
 	wordAddr := func(i int) uint32 {
 		return flagBase + uint32((idxOf(i)%flagBits)/32)*4
 	}
-	setFlag := func(i int) {
-		flags.Set(int(idxOf(i) % flagBits))
+	flagSet := func(i int) func() {
 		if send {
-			fw.sendSet++
-			fw.ordPendSend--
-			fw.Obs.FrameStage(obs.Send, obs.SendFlagSet, sf[i].idx)
-		} else {
-			rq.set++
-			fw.ordPendRecv--
-			fw.Obs.FrameStage(obs.Recv, obs.RecvFlagSet, rf[i].idx)
+			return sf[i].flagSet
 		}
+		return rf[i].flagSet
 	}
 
 	syncOrder := fw.Prof.SyncOrderRecv
@@ -1003,13 +949,12 @@ func (fw *Firmware) orderingSetStream(send bool, sf []*sendFrame, rf []*recvFram
 		// read-modify-write, release. This per-frame synchronization is
 		// exactly the overhead the paper's set instruction removes.
 		for i := 0; i < n; i++ {
-			i := i
 			b.lock(lockAddr, nil)
 			b.alu(3)
 			b.load(wordAddr(i))
 			b.alu(4)
 			b.store(wordAddr(i))
-			b.then(func() { setFlag(i) })
+			b.then(flagSet(i))
 			b.unlock(lockAddr, nil)
 			b.alu(2)
 		}
@@ -1018,9 +963,8 @@ func (fw *Firmware) orderingSetStream(send bool, sf []*sendFrame, rf []*recvFram
 		b.cost(syncOrder.scale(float64(extra)), addrCycle(wordAddr(0), lockAddr))
 	} else {
 		for i := 0; i < n; i++ {
-			i := i
 			// setb: one atomic transaction, plus return linkage.
-			b.rmw(wordAddr(i), func() { setFlag(i) })
+			b.rmw(wordAddr(i), flagSet(i))
 			b.alu(2)
 		}
 	}
@@ -1051,21 +995,27 @@ func (fw *Firmware) orderingSetStream(send bool, sf []*sendFrame, rf []*recvFram
 // single atomic update. Commit actions (handing frames to the MAC or to the
 // host) run serialized inside the final memory transaction's completion.
 // rq is the receive queue being committed (nil on the send side).
-func (fw *Firmware) commitStream(coreID int, send bool, rq *rxQueue, ready int) *cpu.Stream {
+func (fw *Firmware) commitStream(coreID int, rq *rxQueue, ready int) *cpu.Stream {
 	acct := AcctSendOrder
 	lockAddr := uint32(LockSendOrd)
 	flagBase := uint32(FlagsSend)
 	flagBits := uint64(FlagBits)
 	hwPtr := uint32(PtrMACTx)
 	head := fw.sendCommitHead
-	if !send {
+	done := fw.sendCommitDone
+	kind := evSendCommit
+	if rq != nil {
 		acct = AcctRecvOrder
 		lockAddr = LockRecvOrdQ(rq.q)
 		flagBase = rq.flagBase
 		flagBits = uint64(rq.flagBits)
 		hwPtr = PtrDMAWrite
 		head = rq.commitHead
+		done = rq.commitDone
+		kind = evRecvCommit
 	}
+	ev := fw.newEvent(kind, rq)
+	ev.n = ready
 
 	b := fw.newBuilder()
 	b.cost(fw.Prof.CommitPerEvent, addrCycle(fw.eventAddr(), hwPtr))
@@ -1087,40 +1037,33 @@ func (fw *Firmware) commitStream(coreID int, send bool, rq *rxQueue, ready int) 
 		// Terminating iteration (bit clear) plus head and pointer stores.
 		b.alu(6)
 		b.store(hwPtr)
-		b.then(func() { fw.commit(send, rq, ready) })
+		b.then(ev.apply)
 		b.unlock(lockAddr, nil)
 		b.alu(2)
 	} else {
 		// upd: one atomic transaction bounded to a single word; commit what
 		// it actually cleared, then publish the hardware pointer.
-		b.rmw(wordAt(head), func() {
-			ba := fw.sendFlags
-			if !send {
-				ba = rq.flags
-			}
-			_, k := ba.Update()
-			fw.commitCleared(send, rq, k)
-		})
+		b.rmw(wordAt(head), ev.apply)
 		b.alu(2)
 		b.store(hwPtr)
 		b.alu(2)
 	}
-	done := func() {
-		if send {
-			fw.sendCommitClaim = false
-		} else {
-			rq.commitClaim = false
-		}
-	}
 	return b.build("commit", codeOrderBase, fw.Prof.CodeOrdering, acct, done)
 }
 
-// commit clears n flags through the bit array (software scan semantics) and
-// applies the commit actions.
-func (fw *Firmware) commit(send bool, rq *rxQueue, n int) {
+// commit applies a commit stream's effect on the send direction (rq nil)
+// or one receive queue: the software scan clears at least the n ready flags
+// through the bit array, the RMW update whatever one atomic update clears.
+// The cleared frames move on in order.
+func (fw *Firmware) commit(rq *rxQueue, n int) {
 	ba := fw.sendFlags
-	if !send {
+	if rq != nil {
 		ba = rq.flags
+	}
+	if fw.Prof.Ordering != SoftwareOnly {
+		_, k := ba.Update()
+		fw.commitCleared(rq, k)
+		return
 	}
 	cleared := 0
 	for cleared < n {
@@ -1130,14 +1073,14 @@ func (fw *Firmware) commit(send bool, rq *rxQueue, n int) {
 		}
 		cleared += k
 	}
-	fw.commitCleared(send, rq, cleared)
+	fw.commitCleared(rq, cleared)
 }
 
 // commitCleared hands k consecutive frames past the commit head to the next
 // stage, in order (per queue on the receive side).
-func (fw *Firmware) commitCleared(send bool, rq *rxQueue, k int) {
+func (fw *Firmware) commitCleared(rq *rxQueue, k int) {
 	for i := 0; i < k; i++ {
-		if send {
+		if rq == nil {
 			fr := fw.sendRing[fw.sendCommitHead%FlagBits]
 			if fr == nil {
 				panic(fmt.Sprintf("firmware: committing absent send frame %d", fw.sendCommitHead))
@@ -1155,7 +1098,7 @@ func (fw *Firmware) commitCleared(send bool, rq *rxQueue, k int) {
 			rq.ring[rq.commitHead%uint64(rq.flagBits)] = nil
 			rq.commitHead++
 			fw.hst.DeliverFrame(fr.f, rq.q)
-			rq.doneQ = append(rq.doneQ, fr)
+			rq.doneQ.Push(fr)
 			fw.Obs.FrameStageQ(obs.Recv, obs.RecvDelivered, fr.idx, rq.q)
 		}
 	}
@@ -1165,11 +1108,11 @@ func (fw *Firmware) commitCleared(send bool, rq *rxQueue, k int) {
 func (fw *Firmware) Debug() string {
 	s := fmt.Sprintf(
 		"send: seq=%d prepQ=%d dmaDone=%d set=%d commitHead=%d claim=%v txDoneQ=%d bdOut=%d txFree=%d\n",
-		fw.sendSeq, len(fw.prepQ), len(fw.sendDMADone), fw.sendSet, fw.sendCommitHead, fw.sendCommitClaim, len(fw.txDoneQ), fw.bdFetchOut, fw.txRing.available())
+		fw.sendSeq, fw.prepQ.Len(), fw.sendDMADone.Len(), fw.sendSet, fw.sendCommitHead, fw.sendCommitClaim, fw.txDoneQ.Len(), fw.bdFetchOut, fw.txRing.available())
 	for _, rq := range fw.rxq {
 		s += fmt.Sprintf(
 			"recv[%d]: seq=%d arrived=%d credit=%d dmaDone=%d set=%d commitHead=%d claim=%v doneQ=%d bdOut=%d rxFree=%d\n",
-			rq.q, rq.seq, len(rq.arrivedQ), rq.bdCredit, len(rq.dmaDone), rq.set, rq.commitHead, rq.commitClaim, len(rq.doneQ), rq.bdFetchOut, fw.rxRing.available())
+			rq.q, rq.seq, rq.arrivedQ.Len(), rq.bdCredit, rq.dmaDone.Len(), rq.set, rq.commitHead, rq.commitClaim, rq.doneQ.Len(), rq.bdFetchOut, fw.rxRing.available())
 	}
 	return s + fmt.Sprintf("events: %v", fw.Events)
 }

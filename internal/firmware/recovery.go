@@ -23,12 +23,13 @@ const recoveryTimeout = 100 * sim.Microsecond
 // scan then re-issues the transfer. A duplicated completion is absorbed by the
 // token's done flag.
 type dmaToken struct {
-	class   string
-	issued  sim.Picoseconds
-	done    bool
-	tries   int
-	fire    func()
-	reissue func(onDone func())
+	r      *recovery
+	issued sim.Picoseconds
+	done   bool
+	tries  int
+	job    dmaJob
+	fire   func()
+	onDone func() // complete, bound once
 }
 
 // recovery is the firmware's completion-timeout state, armed only when a
@@ -36,6 +37,8 @@ type dmaToken struct {
 type recovery struct {
 	now     func() sim.Picoseconds
 	pending []*dmaToken
+	// free holds retired tokens for reuse (see RecoveryScan).
+	free []*dmaToken
 
 	// Retried counts re-issued DMAs, Recovered the retries whose completion
 	// eventually arrived, DupSuppressed the duplicate notifications absorbed.
@@ -77,35 +80,46 @@ func (fw *Firmware) OutstandingDMAs() int {
 // expect wraps a DMA completion callback with loss/duplication protection.
 // When recovery is not armed it returns fire unchanged — the fault machinery
 // costs nothing on fault-free runs. When armed, the returned callback fires
-// at most once, and the recovery scan re-issues the transfer (via reissue) if
+// at most once, and the recovery scan re-issues the transfer (via job) if
 // no completion arrives within the timeout.
-func (fw *Firmware) expect(class string, reissue func(onDone func()), fire func()) func() {
-	if fw.rec == nil {
+func (fw *Firmware) expect(job dmaJob, fire func()) func() {
+	r := fw.rec
+	if r == nil {
 		return fire
 	}
-	tok := &dmaToken{class: class, issued: fw.rec.now(), fire: fire, reissue: reissue}
-	fw.rec.pending = append(fw.rec.pending, tok)
-	return fw.rec.complete(tok)
+	tok := take(&r.free)
+	if tok == nil {
+		tok = &dmaToken{r: r}
+		tok.onDone = tok.complete
+	}
+	tok.issued, tok.done, tok.tries, tok.job, tok.fire = r.now(), false, 0, job, fire
+	r.pending = append(r.pending, tok)
+	return tok.onDone
 }
 
-// complete returns the dedup'd completion callback for a token.
-func (r *recovery) complete(tok *dmaToken) func() {
-	return func() {
-		if tok.done {
-			r.DupSuppressed++
-			return
-		}
-		tok.done = true
-		if tok.tries > 0 {
-			r.Recovered++
-		}
-		tok.fire()
+// complete is the token's dedup'd completion callback.
+func (tok *dmaToken) complete() {
+	r := tok.r
+	if tok.done {
+		r.DupSuppressed++
+		return
 	}
+	tok.done = true
+	if tok.tries > 0 {
+		r.Recovered++
+	}
+	tok.fire()
 }
 
 // RecoveryScan runs one timeout pass: tokens pending longer than the timeout
 // are re-issued. Completed tokens are retired from the list. The injector
 // pumps this on the fault event domain every couple of microseconds.
+//
+// A retired token that was never re-issued is recycled: its one transfer
+// has completed, and a duplicate notification arrives in the same instant
+// as the first, so no callback can reach it again. A re-issued token is left
+// to the collector, since its slow original or another retry may still
+// complete.
 func (fw *Firmware) RecoveryScan() {
 	r := fw.rec
 	if r == nil {
@@ -115,13 +129,17 @@ func (fw *Firmware) RecoveryScan() {
 	kept := r.pending[:0]
 	for _, tok := range r.pending {
 		if tok.done {
+			if tok.tries == 0 {
+				tok.job, tok.fire = nil, nil
+				r.free = append(r.free, tok)
+			}
 			continue
 		}
 		if now-tok.issued >= recoveryTimeout {
 			tok.tries++
 			tok.issued = now
 			r.Retried++
-			tok.reissue(r.complete(tok))
+			tok.job.issue(tok.onDone)
 		}
 		kept = append(kept, tok)
 	}
@@ -139,13 +157,13 @@ func (fw *Firmware) RecoveryScan() {
 func (fw *Firmware) TakeOver(coreID int, preempted *cpu.Stream) {
 	fw.Takeovers++
 	if preempted != nil {
-		fw.orphans = append(fw.orphans, preempted)
+		fw.orphans.Push(preempted)
 		fw.Rescued++
 	}
-	if q := fw.cont[coreID]; len(q) > 0 {
-		fw.orphans = append(fw.orphans, q...)
-		fw.Rescued += uint64(len(q))
-		fw.cont[coreID] = nil
+	q := &fw.cont[coreID]
+	fw.Rescued += uint64(q.Len())
+	for q.Len() > 0 {
+		fw.orphans.Push(q.Pop())
 	}
 	fw.repairFlags()
 }
@@ -183,11 +201,11 @@ func (fw *Firmware) repairFlags() {
 // AuditSend checks send-direction frame conservation: every frame the BD
 // fetch admitted is in exactly one pipeline stage or already committed.
 func (fw *Firmware) AuditSend() error {
-	inFlight := uint64(len(fw.prepQ)+fw.claimedSend+fw.dmaOutSend+len(fw.sendDMADone)+fw.ordPendSend) +
+	inFlight := uint64(fw.prepQ.Len()+fw.claimedSend+fw.dmaOutSend+fw.sendDMADone.Len()+fw.ordPendSend) +
 		(fw.sendSet - fw.sendCommitHead)
 	if got := fw.sendSeq - fw.sendCommitHead; got != inFlight {
 		return fmt.Errorf("send conservation: seq-head=%d but stages sum to %d (prepQ=%d claimed=%d dmaOut=%d dmaDone=%d ordPend=%d set-head=%d)",
-			got, inFlight, len(fw.prepQ), fw.claimedSend, fw.dmaOutSend, len(fw.sendDMADone), fw.ordPendSend, fw.sendSet-fw.sendCommitHead)
+			got, inFlight, fw.prepQ.Len(), fw.claimedSend, fw.dmaOutSend, fw.sendDMADone.Len(), fw.ordPendSend, fw.sendSet-fw.sendCommitHead)
 	}
 	return nil
 }
@@ -197,8 +215,8 @@ func (fw *Firmware) AuditSend() error {
 func (fw *Firmware) AuditRecv() error {
 	var arrived, dmaDone, setMinusHead, committed uint64
 	for _, rq := range fw.rxq {
-		arrived += uint64(len(rq.arrivedQ))
-		dmaDone += uint64(len(rq.dmaDone))
+		arrived += uint64(rq.arrivedQ.Len())
+		dmaDone += uint64(rq.dmaDone.Len())
 		setMinusHead += rq.set - rq.commitHead
 		committed += rq.commitHead
 	}
@@ -218,10 +236,10 @@ func (fw *Firmware) PendingWork() int {
 	recvDone := 0
 	for _, rq := range fw.rxq {
 		recvCommitted += rq.commitHead
-		recvDone += len(rq.doneQ)
+		recvDone += rq.doneQ.Len()
 	}
 	return int(fw.sendSeq-fw.sendCommitHead) + int(fw.recvSeq-recvCommitted) +
-		len(fw.txDoneQ) + recvDone + len(fw.orphans)
+		fw.txDoneQ.Len() + recvDone + fw.orphans.Len()
 }
 
 // ProgressSignature summarizes pipeline advance for the forward-progress
@@ -258,13 +276,13 @@ func (fw *Firmware) SendSeq() uint64 { return fw.sendSeq }
 // detects frame leaks; never called in normal operation.
 func (fw *Firmware) SabotageLeak(send bool) {
 	if send {
-		if len(fw.prepQ) > 0 {
-			fw.prepQ = fw.prepQ[1:]
+		if fw.prepQ.Len() > 0 {
+			fw.prepQ.Pop()
 		}
 	} else {
 		for _, rq := range fw.rxq {
-			if len(rq.arrivedQ) > 0 {
-				rq.arrivedQ = rq.arrivedQ[1:]
+			if rq.arrivedQ.Len() > 0 {
+				rq.arrivedQ.Pop()
 				return
 			}
 		}

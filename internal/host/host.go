@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/ethernet"
+	"repro/internal/fifo"
 	"repro/internal/stats"
 )
 
@@ -135,11 +136,10 @@ type Host struct {
 	Source SendSource
 
 	// Delayed DMA completions. Every Delay uses the same fixed latency, so
-	// the queue is inherently time-ordered: it is a FIFO ring with a head
-	// index, popped from the front — not rescanned — each tick.
+	// the queue is inherently time-ordered: a FIFO popped from the front —
+	// not rescanned — each tick.
 	now     uint64
-	pending []delayed
-	head    int
+	pending fifo.Queue[delayed]
 
 	// Send side.
 	sendBDs      []SendBD // posted, not yet taken by the NIC
@@ -247,7 +247,7 @@ func (h *Host) mailboxWrite() bool {
 // Delay schedules f after the DMA round-trip latency. It implements the
 // assists' Host interface.
 func (h *Host) Delay(f func()) {
-	h.pending = append(h.pending, delayed{at: h.now + uint64(h.cfg.DMALatencyCycles), f: f})
+	h.pending.Push(delayed{at: h.now + uint64(h.cfg.DMALatencyCycles), f: f})
 }
 
 // Tick advances the host clock: fires due DMA completions and runs the
@@ -257,23 +257,8 @@ func (h *Host) Tick(cycle uint64) {
 	// Fire due completions in enqueue order. Delay's latency is constant, so
 	// entries are due in FIFO order; callbacks may Delay again, and those
 	// entries land at the tail with a strictly later due time.
-	for h.head < len(h.pending) && h.pending[h.head].at <= h.now {
-		f := h.pending[h.head].f
-		h.pending[h.head] = delayed{} // release the closure
-		h.head++
-		f()
-	}
-	if h.head == len(h.pending) {
-		h.pending = h.pending[:0]
-		h.head = 0
-	} else if h.head >= 512 {
-		n := copy(h.pending, h.pending[h.head:])
-		clearTail := h.pending[n:]
-		for i := range clearTail {
-			clearTail[i] = delayed{}
-		}
-		h.pending = h.pending[:n]
-		h.head = 0
+	for h.pending.Len() > 0 && h.pending.At(0).at <= h.now {
+		h.pending.Pop().f()
 	}
 	h.driver()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/fifo"
 	"repro/internal/stats"
 )
 
@@ -146,10 +147,7 @@ type InstrMemory struct {
 	accessCy int
 	lineCy   int
 
-	// pending is a head-indexed FIFO: popping advances phead so the backing
-	// array is reused instead of reallocated.
-	pending  []fillReq
-	phead    int
+	pending  fifo.Queue[fillReq]
 	busy     int // cycles remaining on current fill
 	current  fillReq
 	hasCur   bool
@@ -176,19 +174,14 @@ func NewInstrMemory(accessCy, lineBytes int) *InstrMemory {
 // RequestFill enqueues a line fill for a core; onDone is called during the
 // tick the fill completes.
 func (m *InstrMemory) RequestFill(core int, onDone func()) {
-	m.pending = append(m.pending, fillReq{core: core, onDone: onDone})
+	m.pending.Push(fillReq{core: core, onDone: onDone})
 }
 
 // Tick advances the instruction memory port one CPU cycle.
 func (m *InstrMemory) Tick(cycle uint64) {
 	m.PortBusy.Total.Inc()
-	if !m.hasCur && m.phead < len(m.pending) {
-		m.current = m.pending[m.phead]
-		m.pending[m.phead] = fillReq{}
-		m.phead++
-		if m.phead == len(m.pending) {
-			m.pending, m.phead = m.pending[:0], 0
-		}
+	if !m.hasCur && m.pending.Len() > 0 {
+		m.current = m.pending.Pop()
 		m.hasCur = true
 		m.busy = m.accessCy + m.lineCy
 	}

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 
+	"repro/internal/fifo"
 	"repro/internal/stats"
 )
 
@@ -28,10 +29,8 @@ type SDRAM struct {
 	openRow    []int64
 	activateCy int
 
-	// queues are head-indexed FIFOs: popping advances qhead so the backing
-	// arrays are reused instead of reallocated every few bursts.
-	queues  [][]Transfer
-	qhead   []int
+	queues  []fifo.Queue[Transfer] // one per port
+	queued  int                    // transfers waiting across all ports
 	current Transfer
 	active  bool
 	// remaining cycles in the current burst, including activation overhead
@@ -84,8 +83,7 @@ func NewSDRAM(cfg SDRAMConfig) *SDRAM {
 		banks:      cfg.Banks,
 		openRow:    make([]int64, cfg.Banks),
 		activateCy: cfg.ActivateCy,
-		queues:     make([][]Transfer, cfg.Ports),
-		qhead:      make([]int, cfg.Ports),
+		queues:     make([]fifo.Queue[Transfer], cfg.Ports),
 	}
 	for i := range s.openRow {
 		s.openRow[i] = -1
@@ -95,12 +93,13 @@ func NewSDRAM(cfg SDRAMConfig) *SDRAM {
 
 // Enqueue adds a transfer to the given port's queue.
 func (s *SDRAM) Enqueue(port int, t Transfer) {
-	s.queues[port] = append(s.queues[port], t)
+	s.queues[port].Push(t)
+	s.queued++
 }
 
 // QueueLen returns the number of transfers waiting (plus in progress) for a
 // port.
-func (s *SDRAM) QueueLen(port int) int { return len(s.queues[port]) - s.qhead[port] }
+func (s *SDRAM) QueueLen(port int) int { return s.queues[port].Len() }
 
 // alignedLen returns the burst length after rounding the start down and the
 // end up to 8-byte boundaries.
@@ -111,6 +110,8 @@ func alignedLen(addr uint32, n int) int {
 }
 
 // Tick advances the SDRAM and its shared bus by one cycle.
+//
+//nic:hotpath
 func (s *SDRAM) Tick(cycle uint64) {
 	s.Busy.Total.Inc()
 	if !s.active {
@@ -134,18 +135,19 @@ func (s *SDRAM) Tick(cycle uint64) {
 }
 
 // start pops the next transfer round-robin and computes its burst length.
+//
+//nic:hotpath
 func (s *SDRAM) start(cycle uint64) {
+	if s.queued == 0 {
+		return // an idle bus skips the port scan
+	}
 	for i := 1; i <= len(s.queues); i++ {
 		p := (s.rr + i) % len(s.queues)
-		if s.qhead[p] == len(s.queues[p]) {
+		if s.queues[p].Len() == 0 {
 			continue
 		}
-		t := s.queues[p][s.qhead[p]]
-		s.queues[p][s.qhead[p]] = Transfer{}
-		s.qhead[p]++
-		if s.qhead[p] == len(s.queues[p]) {
-			s.queues[p], s.qhead[p] = s.queues[p][:0], 0
-		}
+		t := s.queues[p].Pop()
+		s.queued--
 		s.rr = p
 
 		al := alignedLen(t.Addr, t.Len)
