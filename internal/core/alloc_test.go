@@ -9,18 +9,18 @@ import (
 
 // runAllocsPerFrame is the pinned ceiling on heap allocations per frame of
 // one short default-point run, counted from New through Run and divided by
-// frames transmitted plus frames the MAC accepted. What remains is setup
-// (the firmware kernels are assembled in New), the workload's fresh frame
-// per frame, and the lazy growth of the firmware's record free lists and
-// the datapath FIFOs to their peak occupancy. The run measures 3.46 per
-// frame, about 3.50 under the race detector. Lower the pin when a change removes
-// an allocation; a rise fails the test.
+// frames transmitted plus frames the MAC accepted. What remains is building
+// the NIC in New, the workload's fresh frame per frame, and the lazy growth
+// of the firmware's record free lists and the datapath FIFOs to their peak
+// occupancy. The run measures 3.06 per frame, about 3.10 under the race
+// detector. Lower the pin when a change removes an allocation; a rise fails
+// the test.
 //
-// The counted run is the second of two identical runs: the first warms the
-// process-wide hazard memo for the run's stream seeds, so the count does
-// not depend on which tests ran earlier in the process. The memo's publish
+// The counted run is the second of two identical runs: the first pays for
+// the once-per-process measurement of the ordering kernels, so the count
+// does not depend on which tests ran earlier in the process. That one-time
 // cost in a cold process is what perfbench's allocs_per_frame adds to this.
-const runAllocsPerFrame = 3.55
+const runAllocsPerFrame = 3.15
 
 func TestRunAllocsPerFramePinned(t *testing.T) {
 	run := func() (mallocs, frames uint64) {

@@ -7,9 +7,9 @@ import (
 )
 
 // builderAllocs is the pinned heap-object count of building one dispatch
-// stream and one software-only poll stream into a recycled stream with a
-// warm memo. No op buffer, stream, builder, hazard generator or flag-scan
-// list is allocated, so there are none; a rise fails the test.
+// stream and one software-only poll stream into a recycled stream. No op
+// buffer, stream, builder, hazard generator or flag-scan list is
+// allocated, so there are none; a rise fails the test.
 const builderAllocs = 0
 
 func TestBuilderAllocsPinned(t *testing.T) {
@@ -19,8 +19,6 @@ func TestBuilderAllocsPinned(t *testing.T) {
 	}
 	var buf *cpu.Op
 	build := func() {
-		// The same two seeds every pass, so after the first the memo holds
-		// their draws and no stream draws live.
 		fw.seedCtr = 0
 		d := fw.dispatchStream(AcctSendOrder)
 		fw.Recycle(d)

@@ -49,9 +49,10 @@ func TestHashlintFixtures(t *testing.T) {
 
 // TestConcurrentPackagesCleanUnderConcurrencyAnalyzers pins the packages
 // that hold the tree's //nic:guardedby fields and goroutine sites — the
-// sweep store/runner, the experiments watchdog, and the firmware hazard
-// memo — clean under the three concurrency-contract analyzers even in
-// -short mode, where the whole-tree check is skipped.
+// sweep store/runner and the experiments watchdog — and the firmware, whose
+// state is per NIC and which parallel sweep workers run side by side, clean
+// under the three concurrency-contract analyzers even in -short mode, where
+// the whole-tree check is skipped.
 func TestConcurrentPackagesCleanUnderConcurrencyAnalyzers(t *testing.T) {
 	prog, err := lint.NewProgram(".")
 	if err != nil {
