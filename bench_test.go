@@ -15,6 +15,16 @@ import (
 // iteration (run with -benchtime=1x for a single regeneration) and attach
 // the headline measured quantity as a custom metric.
 
+// runDefault simulates the default operating point (6 cores at 200 MHz,
+// 1472-byte UDP) for the quick budget.
+func runDefault(b *testing.B) core.Report {
+	out, err := experiments.Simulate(context.Background(), experiments.DefaultJobs(experiments.Quick)[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	return *out.Report
+}
+
 // BenchmarkTable1 recomputes the ideal per-frame task costs.
 func BenchmarkTable1(b *testing.B) {
 	var mips float64
@@ -53,7 +63,7 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	var r core.Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.Run(core.DefaultConfig(), 1472, experiments.Quick)
+		r = runDefault(b)
 	}
 	b.ReportMetric(r.IPC, "IPC")
 	b.ReportMetric(r.FracLoad, "load-stalls/cycle")
@@ -63,7 +73,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	var r core.Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.Run(core.DefaultConfig(), 1472, experiments.Quick)
+		r = runDefault(b)
 	}
 	b.ReportMetric(r.ScratchGbps, "scratchpad-Gbps")
 	b.ReportMetric(r.FrameMemGbps, "frame-mem-Gbps")
@@ -142,7 +152,7 @@ func BenchmarkAblationPipeline(b *testing.B) {
 	// rate, visible as conflict stalls staying near the paper's 0.05.
 	var r core.Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.Run(core.DefaultConfig(), 1472, experiments.Quick)
+		r = runDefault(b)
 	}
 	b.ReportMetric(r.FracConflict, "conflicts/cycle")
 }
@@ -151,7 +161,7 @@ func BenchmarkAblationPipeline(b *testing.B) {
 // cycles per wall second for the default six-core build.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Run(core.DefaultConfig(), 1472, experiments.Quick)
+		runDefault(b)
 	}
 	cycles := experiments.Quick.Measure.Seconds() * 200e6 * float64(b.N)
 	b.ReportMetric(cycles/b.Elapsed().Seconds(), "sim-cycles/s")

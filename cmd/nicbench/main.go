@@ -1,7 +1,7 @@
 // nicbench regenerates the paper's tables and figures from the simulator,
 // orchestrated by the internal/sweep harness: configurations run across a
-// worker pool, results persist to a resumable JSONL store, and committed
-// golden baselines gate regressions.
+// worker pool, each distinct point is simulated once per process, and
+// committed golden baselines gate regressions.
 //
 // Usage:
 //
@@ -12,8 +12,6 @@
 //	nicbench -suite figure7,gate       # suites by key
 //	nicbench -ablation ab              # design-choice ablations
 //	nicbench -quick ...                # shorter simulation windows
-//	nicbench -all -out results/        # persist results; ^C then -resume
-//	nicbench -all -out results/ -resume
 //	nicbench -quick -check             # gate vs committed baselines (CI)
 //	nicbench -quick -check -update-baseline  # refresh golden baselines
 //	nicbench -quick -all -times        # per-job sim-time/wall-time summary
@@ -30,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
@@ -38,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/sweep"
 )
 
@@ -58,8 +56,6 @@ func run() int {
 		parallel = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 0, "per-job timeout (0 = none)")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON results instead of tables")
-		outDir   = flag.String("out", "", "directory for the resumable result store (results.jsonl)")
-		resume   = flag.Bool("resume", false, "reuse results already in -out instead of starting fresh")
 
 		check    = flag.Bool("check", false, "compare results against golden baselines; non-zero exit on regression")
 		baseline = flag.String("baseline", "baselines/gate.json", "golden baseline file for -check/-update-baseline")
@@ -72,7 +68,6 @@ func run() int {
 		latency    = flag.Bool("latency", false, "observe frame lifecycles (latency section in reports; incompatible with -check/-update-baseline)")
 
 		canonical = flag.Bool("canonical", false, "canonicalize -json results (zero wall times and tick costs) for byte-exact comparison across runs")
-		retries   = flag.Int("retries", 0, "re-run failed jobs up to this many times")
 	)
 	flag.Parse()
 
@@ -113,7 +108,7 @@ func run() int {
 			}
 		}()
 	}
-	experiments.TickProfile = *tickProf
+	opts := experiments.Options{TickProfile: *tickProf}
 	if *latency {
 		if *check || *update {
 			// Observation adds a latency section to every report, which would
@@ -121,7 +116,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "nicbench: -latency cannot be combined with -check or -update-baseline")
 			return 2
 		}
-		experiments.Observe = true
+		opts.Obs = &obs.Config{}
 	}
 
 	b := experiments.Full
@@ -146,37 +141,13 @@ func run() int {
 		return 2
 	}
 
-	var store *sweep.Store
-	if *resume && *outDir == "" {
-		fmt.Fprintln(os.Stderr, "nicbench: -resume requires -out")
-		return 2
-	}
-	if *outDir != "" {
-		path := filepath.Join(*outDir, sweep.StoreFileName)
-		if !*resume {
-			// A fresh run must not silently serve a previous run's points.
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				fmt.Fprintln(os.Stderr, "nicbench:", err)
-				return 1
-			}
-		}
-		store, err = sweep.OpenStore(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nicbench:", err)
-			return 1
-		}
-		defer store.Close()
-	}
-
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
 	runner := &sweep.Runner{
-		Run:     experiments.Simulate,
+		Run:     opts.Simulate,
 		Workers: *parallel,
 		Timeout: *timeout,
-		Retries: *retries,
-		Store:   store,
 	}
 
 	var (
@@ -247,16 +218,8 @@ func run() int {
 	if *times {
 		printTimes(allResults)
 	}
-	stats := runner.Stats()
-	extra := ""
-	if stats.Retries > 0 {
-		extra += fmt.Sprintf(", %d retried", stats.Retries)
-	}
-	if stats.StoreErrors > 0 {
-		extra += fmt.Sprintf(", %d store errors", stats.StoreErrors)
-	}
-	fmt.Fprintf(os.Stderr, "nicbench: %d simulated, %d cached, %d failed%s in %.1fs (budget %s)\n",
-		ran, hit, len(failed), extra, time.Since(start).Seconds(), budgetName)
+	fmt.Fprintf(os.Stderr, "nicbench: %d simulated, %d cached, %d failed in %.1fs (budget %s)\n",
+		ran, hit, len(failed), time.Since(start).Seconds(), budgetName)
 	for _, r := range failed {
 		msg := r.Err
 		if i := strings.IndexByte(msg, '\n'); i >= 0 {
@@ -268,11 +231,7 @@ func run() int {
 		status = 1
 	}
 	if interrupted {
-		hint := ""
-		if *outDir != "" {
-			hint = fmt.Sprintf(" — finished jobs are saved; rerun with -resume -out %s", *outDir)
-		}
-		fmt.Fprintf(os.Stderr, "nicbench: interrupted%s\n", hint)
+		fmt.Fprintln(os.Stderr, "nicbench: interrupted")
 		return 1
 	}
 

@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -33,13 +32,6 @@ var Quick = Budget{Warmup: 800 * sim.Microsecond, Measure: 500 * sim.Microsecond
 
 // Full is the recorded-results window.
 var Full = Budget{Warmup: 1500 * sim.Microsecond, Measure: 1000 * sim.Microsecond}
-
-// Run executes one configuration under a workload.
-func Run(cfg core.Config, udpSize int, b Budget) core.Report {
-	n := core.New(cfg)
-	n.AttachWorkload(udpSize, false)
-	return n.Run(b.Warmup, b.Measure)
-}
 
 // ---------------------------------------------------------------------------
 // Table 1 — ideal per-frame task costs
@@ -143,18 +135,11 @@ func Figure3(b Budget, maxRefs int) []smpcache.SweepPoint {
 	return pts
 }
 
-// figure3Collect is the Figure 3 job body: the traced run plus the cache
-// sweep, with cooperative cancellation.
-func figure3Collect(ctx context.Context, b Budget, maxRefs int) ([]smpcache.SweepPoint, core.Report, error) {
-	n := core.New(core.DefaultConfig())
-	n.AttachWorkload(1472, false)
-	traces := n.EnableTracing(maxRefs)
-	defer watchdog(ctx, n.Engine)()
-	r := n.Run(b.Warmup, b.Measure)
-	if ctx != nil && ctx.Err() != nil {
-		return nil, core.Report{}, ctx.Err()
-	}
-
+// figure3Sweep is the Figure 3 analysis of a traced run's per-processor
+// reference traces (cores first, then the DMA read, DMA write, MAC tx and
+// MAC rx assists): each core's frame-metadata references feed one cache, the
+// two DMA assists share one and the two MAC assists another.
+func figure3Sweep(traces []*[]trace.MemRef) []smpcache.SweepPoint {
 	meta := func(in []trace.MemRef) []trace.MemRef {
 		out := make([]trace.MemRef, 0, len(in))
 		for _, r := range in {
@@ -164,16 +149,17 @@ func figure3Collect(ctx context.Context, b Budget, maxRefs int) ([]smpcache.Swee
 		}
 		return out
 	}
+	cores := len(traces) - 4
 	var refs []trace.MemRef
-	for p := 0; p < 6; p++ {
+	for p := 0; p < cores; p++ {
 		for _, r := range meta(*traces[p]) {
 			r.Proc = p
 			refs = append(refs, r)
 		}
 	}
-	refs = append(refs, trace.Interleave(6, meta(*traces[6]), meta(*traces[7]))...)
-	refs = append(refs, trace.Interleave(7, meta(*traces[8]), meta(*traces[9]))...)
-	return smpcache.Sweep(refs, 8, 16, smpcache.PaperSizes()), r, nil
+	refs = append(refs, trace.Interleave(cores, meta(*traces[cores]), meta(*traces[cores+1]))...)
+	refs = append(refs, trace.Interleave(cores+1, meta(*traces[cores+2]), meta(*traces[cores+3]))...)
+	return smpcache.Sweep(refs, cores+2, 16, smpcache.PaperSizes())
 }
 
 // PrintFigure3 renders the hit-ratio curve.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/smpcache"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -110,90 +111,97 @@ func BudgetOf(s sweep.Spec) Budget {
 	return Budget{Warmup: sim.Picoseconds(s.WarmupPs), Measure: sim.Picoseconds(s.MeasurePs)}
 }
 
-// Simulate is the sweep.RunFunc that executes one job on the cycle
-// simulator. It honors ctx: a cancellation or per-job timeout stops the
-// simulation engine via a watchdog goroutine and fails the job.
+// Options are what Build arms beyond what a spec declares: frame payloads
+// and diagnostics, none of which changes a report's gated fields. The zero
+// value is a plain sweep job.
+type Options struct {
+	// Payload carries and verifies real frame bytes.
+	Payload bool
+	// TickProfile collects per-domain tick costs; Simulate returns them in
+	// the outcome's TickCosts. The report itself is unchanged.
+	TickProfile bool
+	// Obs, when non-nil, attaches a frame-lifecycle recorder: the report
+	// gains a Latency section, and NIC.EnableObs returns the recorder. It is
+	// applied before the spec's SLO, whose latency bounds would otherwise arm
+	// a recorder with the default configuration.
+	Obs *obs.Config
+}
+
+// Build assembles the controller a spec declares and arms its workload or
+// adversarial traffic class, fault plan and SLO, plus o's diagnostics. It is
+// the one path from a spec to a NIC: every sweep job and nicsim build here.
+func Build(s sweep.Spec, o Options) (*core.NIC, error) {
+	cfg, err := ConfigFor(s)
+	if err != nil {
+		return nil, err
+	}
+	n := core.New(cfg)
+	if s.Traffic != nil {
+		if err := n.AttachTraffic(s.UDPSize, *s.Traffic, o.Payload); err != nil {
+			return nil, err
+		}
+	} else {
+		n.AttachWorkload(s.UDPSize, o.Payload)
+	}
+	if s.Faults != nil {
+		if err := n.AttachFaults(*s.Faults); err != nil {
+			return nil, err
+		}
+	}
+	if o.Obs != nil {
+		n.EnableObs(*o.Obs)
+	}
+	if s.SLO != nil {
+		if err := n.AttachSLO(*s.SLO); err != nil {
+			return nil, err
+		}
+	}
+	n.Engine.ProfileTicks(o.TickProfile)
+	return n, nil
+}
+
+// Simulate is the sweep.RunFunc for plain jobs: Options{}.Simulate.
 func Simulate(ctx context.Context, j sweep.Job) (sweep.Outcome, error) {
+	return Options{}.Simulate(ctx, j)
+}
+
+// Simulate executes one job on the cycle simulator with o's diagnostics; the
+// method value is a sweep.RunFunc. It honors ctx: a cancellation or per-job
+// timeout stops the simulation engine via a watchdog goroutine and fails the
+// job.
+func (o Options) Simulate(ctx context.Context, j sweep.Job) (sweep.Outcome, error) {
 	b := BudgetOf(j.Spec)
 	if b.Measure == 0 {
 		return sweep.Outcome{}, fmt.Errorf("experiments: job %s: zero measure window", j.ID)
 	}
 	switch j.Spec.Kind {
-	case sweep.KindNIC, "":
-		cfg, err := ConfigFor(j.Spec)
-		if err != nil {
-			return sweep.Outcome{}, err
-		}
-		r, costs, err := simulate(ctx, cfg, j.Spec, b)
-		if err != nil {
-			return sweep.Outcome{}, err
-		}
-		return sweep.Outcome{Report: &r, TickCosts: costs}, nil
-	case sweep.KindFig3:
-		pts, r, err := figure3Collect(ctx, b, j.Spec.MaxRefs)
-		if err != nil {
-			return sweep.Outcome{}, err
-		}
-		aux, err := json.Marshal(pts)
-		if err != nil {
-			return sweep.Outcome{}, err
-		}
-		return sweep.Outcome{Report: &r, Aux: aux}, nil
+	case sweep.KindNIC, "", sweep.KindFig3:
 	default:
 		return sweep.Outcome{}, fmt.Errorf("experiments: unknown job kind %q", j.Spec.Kind)
 	}
-}
-
-// TickProfile, when set before a sweep starts, enables per-domain tick-cost
-// collection on every simulated job; the breakdown lands in each result's
-// tick_costs. Diagnostic only — the reports themselves are unchanged.
-var TickProfile bool
-
-// Observe, when set before a sweep starts, enables frame-lifecycle latency
-// observation on every simulated job: each report gains a Latency section
-// (percentiles and per-stage residency). Observation is passive — every other
-// report field is unchanged — but because the Latency section alters the
-// report JSON, sweeps comparing against stored baselines must leave it off.
-var Observe bool
-
-// simulate runs one spec with cooperative cancellation, attaching the
-// adversarial traffic class, fault plan, and SLO the spec declares (if any)
-// before the run starts.
-func simulate(ctx context.Context, cfg core.Config, s sweep.Spec, b Budget) (core.Report, []sim.DomainCost, error) {
-	n := core.New(cfg)
-	if s.Traffic != nil {
-		if err := n.AttachTraffic(s.UDPSize, *s.Traffic, false); err != nil {
-			return core.Report{}, nil, err
-		}
-	} else {
-		n.AttachWorkload(s.UDPSize, false)
+	n, err := Build(j.Spec, o)
+	if err != nil {
+		return sweep.Outcome{}, err
 	}
-	if s.Faults != nil {
-		if err := n.AttachFaults(*s.Faults); err != nil {
-			return core.Report{}, nil, err
-		}
-	}
-	if s.SLO != nil {
-		if err := n.AttachSLO(*s.SLO); err != nil {
-			return core.Report{}, nil, err
-		}
-	}
-	if TickProfile {
-		n.Engine.ProfileTicks(true)
-	}
-	if Observe {
-		n.EnableObs(obs.Config{})
+	var traces []*[]trace.MemRef
+	if j.Spec.Kind == sweep.KindFig3 {
+		traces = n.EnableTracing(j.Spec.MaxRefs)
 	}
 	defer watchdog(ctx, n.Engine)()
 	r := n.Run(b.Warmup, b.Measure)
 	if ctx != nil && ctx.Err() != nil {
-		return core.Report{}, nil, ctx.Err()
+		return sweep.Outcome{}, ctx.Err()
 	}
-	var costs []sim.DomainCost
-	if TickProfile {
-		costs = n.Engine.TickCosts()
+	out := sweep.Outcome{Report: &r}
+	if o.TickProfile {
+		out.TickCosts = n.Engine.TickCosts()
 	}
-	return r, costs, nil
+	if traces != nil {
+		if out.Aux, err = json.Marshal(figure3Sweep(traces)); err != nil {
+			return sweep.Outcome{}, err
+		}
+	}
+	return out, nil
 }
 
 // watchdog stops the engine when ctx is canceled; the returned release

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/firmware"
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -136,5 +138,35 @@ func TestSuitesRegistry(t *testing.T) {
 	}
 	if n := len(Figure7Jobs(Quick, PaperFig7Cores, PaperFig7MHz)); n != 45 {
 		t.Errorf("figure7 grid = %d jobs, want 45", n)
+	}
+}
+
+// TestBuildObsConfigWinsOverSLO: Build applies the caller's observation
+// config before the spec's SLO. Latency bounds make AttachSLO arm a recorder,
+// and a recorder armed first with the default config would silently drop the
+// caller's frame sampling: every FrameSample would record the same trace.
+func TestBuildObsConfigWinsOverSLO(t *testing.T) {
+	b := Budget{Warmup: 100 * sim.Microsecond, Measure: 100 * sim.Microsecond}
+	s := SpecFor(core.DefaultConfig(), 1472, b)
+	slo, err := core.ParseSLO("recv=400,send=1300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slo.NeedsLatency() {
+		t.Fatal("SLO must carry latency bounds to arm observation")
+	}
+	s.SLO = &slo
+	events := func(sample int) uint64 {
+		n, err := Build(s, Options{Obs: &obs.Config{FrameSample: sample}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run(b.Warmup, b.Measure)
+		total, _ := n.EnableObs(obs.Config{}).EventsRecorded() // the recorder Build attached
+		return total
+	}
+	every, sampled := events(1), events(8)
+	if sampled >= every {
+		t.Errorf("FrameSample 8 recorded %d events, FrameSample 1 %d: want fewer (the caller's config must win over the SLO's)", sampled, every)
 	}
 }

@@ -49,7 +49,7 @@ func TestHashlintFixtures(t *testing.T) {
 
 // TestConcurrentPackagesCleanUnderConcurrencyAnalyzers pins the packages
 // that hold the tree's //nic:guardedby fields and goroutine sites — the
-// sweep store/runner and the experiments watchdog — and the firmware, whose
+// sweep runner and the experiments watchdog — and the firmware, whose
 // state is per NIC and which parallel sweep workers run side by side, clean
 // under the three concurrency-contract analyzers even in -short mode, where
 // the whole-tree check is skipped.

@@ -23,18 +23,14 @@ type RunFunc func(ctx context.Context, job Job) (Outcome, error)
 type RunnerStats struct {
 	// Fresh is the number of unique points simulated to completion.
 	Fresh int64 `json:"fresh"`
-	// CacheHits is the number of unique points served from the store or the
-	// in-process memo without simulating.
+	// CacheHits is the number of unique points served from the runner's
+	// in-process memo, filled by an earlier Sweep, without simulating.
 	CacheHits int64 `json:"cache_hits"`
-	// Retries is the number of failed attempts that were re-run because the
-	// runner's Retries budget allowed it.
+	// Retries is always zero: the runner never re-runs a job. Kept for the
+	// benchmark, which reports it until its next change.
 	Retries int64 `json:"retries"`
-	// Failed is the number of unique points whose final attempt failed.
+	// Failed is the number of unique points whose run failed.
 	Failed int64 `json:"failed"`
-	// StoreErrors is the number of results whose persistence failed. A store
-	// error degrades resumability, not correctness — the result is still
-	// reported — but a nonzero count means a resume would re-simulate.
-	StoreErrors int64 `json:"store_errors"`
 }
 
 // Runner executes sweeps over a worker pool.
@@ -50,26 +46,13 @@ type Runner struct {
 	// sweep.
 	Timeout time.Duration
 
-	// Retries is how many times a failed attempt (error, panic, timeout) is
-	// re-run before the failure is recorded. 0 means one attempt only.
-	// Cancellation is never retried.
-	Retries int
-
-	// Store, when non-nil, serves previously completed jobs by hash and
-	// persists fresh successes, making sweeps resumable across processes.
-	Store *Store
-
-	// OnResult, when non-nil, observes every result as it settles (cache
-	// hits included). Calls are serialized.
-	OnResult func(Result)
-
 	mu    sync.Mutex
 	memo  map[string]Result //nic:guardedby mu — in-process cache of successes, by hash
 	stats RunnerStats       //nic:guardedby mu
 }
 
-// Stats returns a snapshot of the runner's counters. Updates are
-// serialized the same way OnResult calls are, so a snapshot taken after
+// Stats returns a snapshot of the runner's counters. Every update happens
+// under the runner's lock before Sweep returns, so a snapshot taken after
 // Sweep returns is complete.
 func (r *Runner) Stats() RunnerStats {
 	r.mu.Lock()
@@ -82,8 +65,8 @@ func (r *Runner) Stats() RunnerStats {
 // timeout) are reported in their Result and do not stop the sweep. When ctx
 // is canceled, in-flight jobs are stopped, unstarted jobs are marked
 // canceled, and the returned error is ctx's error; everything already
-// completed is in the results (and the store, if one is attached), so a
-// re-run resumes from where the sweep stopped.
+// completed is in the results and the memo, so a second Sweep on the same
+// Runner simulates only the rest.
 func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]Result, error) {
 	if r.Run == nil {
 		return nil, fmt.Errorf("sweep: Runner.Run is nil")
@@ -117,22 +100,12 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]Result, error) {
 				r.memo = map[string]Result{}
 			}
 			r.memo[res.Hash] = res
-			if r.Store != nil && !res.Cached {
-				if err := r.Store.Put(res); err != nil {
-					// Persistence failure degrades resumability, not
-					// correctness; it is surfaced through StoreErrors.
-					r.stats.StoreErrors++
-				}
-			}
 		}
 		for _, i := range idxByHash[res.Hash] {
 			rr := res
 			rr.ID = jobs[i].ID
 			results[i] = rr
 			filled[i] = true
-			if r.OnResult != nil {
-				r.OnResult(rr)
-			}
 		}
 		r.mu.Unlock()
 	}
@@ -141,7 +114,10 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]Result, error) {
 	var pending []Job
 	for _, h := range order {
 		job := jobs[idxByHash[h][0]]
-		if res, ok := r.cached(h); ok {
+		r.mu.Lock()
+		res, ok := r.memo[h]
+		r.mu.Unlock()
+		if ok {
 			res.Cached = true
 			settle(res)
 			continue
@@ -164,7 +140,7 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for job := range ch {
-				settle(r.runRetrying(ctx, job))
+				settle(Execute(ctx, r.Run, job, r.Timeout))
 			}
 		}()
 	}
@@ -193,39 +169,10 @@ dispatch:
 	return results, ctx.Err()
 }
 
-// cached consults the in-process memo, then the store.
-func (r *Runner) cached(hash string) (Result, bool) {
-	r.mu.Lock()
-	res, ok := r.memo[hash]
-	r.mu.Unlock()
-	if ok {
-		return res, true
-	}
-	if r.Store != nil {
-		if res, ok := r.Store.Get(hash); ok && res.OK() {
-			return res, true
-		}
-	}
-	return Result{}, false
-}
-
-// runRetrying executes one job, re-running failed attempts while the retry
-// budget lasts and the sweep has not been canceled.
-func (r *Runner) runRetrying(ctx context.Context, job Job) Result {
-	res := Execute(ctx, r.Run, job, r.Timeout)
-	for attempt := 0; attempt < r.Retries && !res.OK() && ctx.Err() == nil; attempt++ {
-		r.mu.Lock()
-		r.stats.Retries++
-		r.mu.Unlock()
-		res = Execute(ctx, r.Run, job, r.Timeout)
-	}
-	return res
-}
-
-// Execute runs a single job attempt with a per-job timeout and panic
-// isolation: a panicking run fails its own Result (stack attached) instead
-// of crashing the caller. The Runner executes every attempt through this
-// one path, and callers that time a single job outside a Runner use it too,
+// Execute runs a single job with a per-job timeout and panic isolation: a
+// panicking run fails its own Result (stack attached) instead of crashing
+// the caller. The Runner executes every job through this one path, and
+// callers that time a single job outside a Runner use it too,
 // so a job fails the same way wherever it runs.
 func Execute(ctx context.Context, run RunFunc, job Job, timeout time.Duration) (res Result) {
 	res = Result{ID: job.ID, Hash: job.Spec.Hash(), Spec: job.Spec}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -49,8 +48,8 @@ func TestHashStableAndDistinct(t *testing.T) {
 	if a.Hash() == c.Hash() {
 		t.Fatal("different specs must hash differently")
 	}
-	// The hash is part of the on-disk store format: lock its value for one
-	// known spec so accidental schema drift is caught.
+	// The hash keys baselines: lock its length so accidental schema drift
+	// is caught.
 	if h := a.Hash(); len(h) != 24 {
 		t.Fatalf("hash length = %d, want 24", len(h))
 	}
@@ -156,59 +155,11 @@ func TestDuplicateSpecsSimulateOnce(t *testing.T) {
 	}
 }
 
-func TestStoreCacheHitSkipsSimulation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, StoreFileName)
-	var runs atomic.Int64
-
-	st, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{Run: fakeRun(&runs), Workers: 2, Store: st}
-	if _, err := r.Sweep(context.Background(), grid(5)); err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 5 {
-		t.Fatalf("first sweep runs = %d, want 5", runs.Load())
-	}
-	st.Close()
-
-	// Fresh process: reopen the store, re-run the sweep plus one new point.
-	st2, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() != 5 {
-		t.Fatalf("reopened store has %d results, want 5", st2.Len())
-	}
-	r2 := &Runner{Run: fakeRun(&runs), Workers: 2, Store: st2}
-	rs, err := r2.Sweep(context.Background(), grid(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 6 {
-		t.Errorf("total runs = %d, want 6 (only the new point simulates)", runs.Load())
-	}
-	cachedCount := 0
-	for _, res := range rs {
-		if res.Cached {
-			cachedCount++
-		}
-	}
-	if cachedCount != 5 {
-		t.Errorf("cached results = %d, want 5", cachedCount)
-	}
-}
-
+// TestCancellationLeavesValidResumableStore: a canceled sweep returns
+// ctx's error with every completed job in its results and the runner's memo,
+// so a second Sweep on the same Runner serves those jobs as cached and
+// simulates only the rest.
 func TestCancellationLeavesValidResumableStore(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, StoreFileName)
-	st, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var runs atomic.Int64
 	run := func(rctx context.Context, j Job) (Outcome, error) {
@@ -218,49 +169,70 @@ func TestCancellationLeavesValidResumableStore(t *testing.T) {
 		}
 		return out, nil
 	}
-	r := &Runner{Run: run, Workers: 1, Store: st}
+	r := &Runner{Run: run, Workers: 1}
 	rs, err := r.Sweep(ctx, grid(10))
-	if err == nil {
-		t.Fatal("expected context error from canceled sweep")
+	if err != context.Canceled {
+		t.Fatalf("canceled sweep returned %v, want %v", err, context.Canceled)
 	}
 	done := 0
 	for _, res := range rs {
-		if res.OK() {
+		switch {
+		case res.OK():
 			done++
+		case res.Err != "canceled before start":
+			t.Errorf("job %s: err = %q, want \"canceled before start\"", res.ID, res.Err)
 		}
 	}
 	if done >= 10 || done < 3 {
 		t.Fatalf("completed jobs = %d, want partial (3..9)", done)
 	}
-	st.Close()
 
-	// Simulate an interrupt mid-write on top: a torn trailing line must not
-	// poison the store.
-	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	f.WriteString(`{"id":"torn","hash":"deadbeef","spec":{"kind":"nic"`)
-	f.Close()
-
-	st2, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() != done {
-		t.Fatalf("resumed store has %d results, want %d", st2.Len(), done)
-	}
 	runs.Store(0)
-	r2 := &Runner{Run: fakeRun(&runs), Workers: 2, Store: st2}
-	rs2, err := r2.Sweep(context.Background(), grid(10))
+	r.Run = fakeRun(&runs)
+	rs2, err := r.Sweep(context.Background(), grid(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range rs2 {
+	cached := 0
+	for i, res := range rs2 {
 		if !res.OK() {
 			t.Errorf("resumed job %s failed: %s", res.ID, res.Err)
 		}
+		if res.Cached {
+			cached++
+		}
+		if res.Cached != rs[i].OK() {
+			t.Errorf("job %s: cached = %v, want %v (served from the memo exactly when it completed before the cancel)", res.ID, res.Cached, rs[i].OK())
+		}
+	}
+	if cached != done {
+		t.Errorf("cached results = %d, want %d", cached, done)
 	}
 	if got := runs.Load(); got != int64(10-done) {
 		t.Errorf("resume ran %d jobs, want %d (finished jobs must not re-simulate)", got, 10-done)
+	}
+}
+
+func TestRunnerStatsCounts(t *testing.T) {
+	run := func(ctx context.Context, j Job) (Outcome, error) {
+		if j.Spec.Cores == 3 {
+			return Outcome{}, fmt.Errorf("diverging simulation")
+		}
+		return fakeRun(nil)(ctx, j)
+	}
+	r := &Runner{Run: run, Workers: 2}
+	// A first sweep memoizes one point, which the second serves as a cache hit.
+	if _, err := r.Sweep(context.Background(), grid(1)); err != nil {
+		t.Fatal(err)
+	}
+	jobs := append(grid(4), grid(4)...) // duplicates must not inflate any counter
+	if _, err := r.Sweep(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	s := r.Stats()
+	want := RunnerStats{Fresh: 3, CacheHits: 1, Failed: 1}
+	if s != want {
+		t.Errorf("stats = %+v, want %+v", s, want)
 	}
 }
 
